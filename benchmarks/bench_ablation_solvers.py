@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro import solve
 from repro.core.server import BladeServerGroup
-from repro.core.solvers import optimize_load_distribution
 from repro.workloads import example_group
 from repro.workloads.paper import EXAMPLE_TOTAL_RATE, TABLE2_T_PRIME
 
@@ -28,11 +28,7 @@ def group():
 def test_solver_speed_on_example2(benchmark, group, method):
     """Time each backend on the Table 2 instance (priority discipline)."""
     result = benchmark(
-        optimize_load_distribution,
-        group,
-        EXAMPLE_TOTAL_RATE,
-        "priority",
-        method,
+        solve, group, EXAMPLE_TOTAL_RATE, discipline="priority", method=method
     )
     assert abs(result.mean_response_time - TABLE2_T_PRIME) < 5e-7
     print(
@@ -49,11 +45,9 @@ def test_closed_form_speed(benchmark):
         fraction=0.3,
     )
     lam = 0.5 * group.max_generic_rate
-    result = benchmark(
-        optimize_load_distribution, group, lam, "fcfs", "closed-form"
-    )
+    result = benchmark(solve, group, lam, discipline="fcfs", method="closed-form")
     # Cross-check against the numeric solver once.
-    ref = optimize_load_distribution(group, lam, "fcfs", "kkt")
+    ref = solve(group, lam, discipline="fcfs", method="kkt")
     assert abs(result.mean_response_time - ref.mean_response_time) < 1e-9
 
 
@@ -67,8 +61,9 @@ def test_kkt_scales_to_large_groups(benchmark):
     )
     lam = 0.6 * group.max_generic_rate
     result = benchmark.pedantic(
-        optimize_load_distribution,
-        args=(group, lam, "fcfs", "kkt"),
+        solve,
+        args=(group, lam),
+        kwargs={"discipline": "fcfs", "method": "kkt"},
         rounds=3,
         iterations=1,
     )

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro import solve
 from repro.core.bounds import lower_bound, upper_bound
-from repro.core.solvers import optimize_load_distribution
 from repro.workloads import example_group
 
 
@@ -25,7 +25,7 @@ def test_bound_tightness_across_loads(benchmark):
         for frac in (0.2, 0.4, 0.6, 0.8, 0.95):
             lam = frac * group.max_generic_rate
             lo = lower_bound(group, lam)
-            t = optimize_load_distribution(group, lam).mean_response_time
+            t = solve(group, lam).mean_response_time
             hi = upper_bound(group, lam)
             rows.append((frac, lo, t, hi))
         return rows

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro import solve
 from repro.core.server import BladeServerGroup
-from repro.core.solvers import optimize_load_distribution
 from repro.sim.arrivals import HyperexponentialArrivals, MMPPArrivals
 from repro.sim.engine import GroupSimulation, SimulationConfig
 
@@ -39,7 +39,7 @@ def run_with_arrivals(group, lam, fractions, arrivals, seed=23):
 
 def test_mmpp_burstiness_sweep(benchmark, group):
     lam = 0.7 * group.max_generic_rate
-    res = optimize_load_distribution(group, lam, "fcfs")
+    res = solve(group, lam, discipline="fcfs")
 
     def sweep():
         rows = [("poisson", run_with_arrivals(group, lam, res.fractions, None))]
@@ -66,7 +66,7 @@ def test_mmpp_burstiness_sweep(benchmark, group):
 
 def test_renewal_variability_sweep(benchmark, group):
     lam = 0.7 * group.max_generic_rate
-    res = optimize_load_distribution(group, lam, "fcfs")
+    res = solve(group, lam, discipline="fcfs")
 
     def sweep():
         rows = []

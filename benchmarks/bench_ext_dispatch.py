@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro import solve
 from repro.core.server import BladeServerGroup
-from repro.core.solvers import optimize_load_distribution
 from repro.sim.dispatcher import DynamicDispatcher
 from repro.sim.engine import GroupSimulation, SimulationConfig
 
@@ -28,7 +28,7 @@ def group():
 
 
 def run_pair(group, lam, seed=5, horizon=6_000.0, warmup=600.0):
-    res = optimize_load_distribution(group, lam, "fcfs")
+    res = solve(group, lam, discipline="fcfs")
     config = SimulationConfig(
         total_generic_rate=lam,
         fractions=tuple(res.fractions),

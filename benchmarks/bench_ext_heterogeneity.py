@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.solvers import optimize_load_distribution
+from repro import solve
 from repro.workloads.heterogeneity import (
     scaled_size_group,
     scaled_speed_group,
@@ -34,7 +34,7 @@ def test_size_spread_curve(benchmark):
         for s in spreads:
             g = scaled_size_group(7, 56, float(s), speed=1.3)
             lam = 0.8 * g.max_generic_rate
-            t = optimize_load_distribution(g, lam).mean_response_time
+            t = solve(g, lam).mean_response_time
             rows.append((float(s), size_cv(g), t))
         return rows
 
@@ -61,7 +61,7 @@ def test_speed_spread_curve(benchmark):
         for s in spreads:
             g = scaled_speed_group(7, 9.1, float(s), size=8)
             lam = 0.8 * g.max_generic_rate
-            t = optimize_load_distribution(g, lam).mean_response_time
+            t = solve(g, lam).mean_response_time
             rows.append((float(s), speed_cv(g), t))
         return rows
 

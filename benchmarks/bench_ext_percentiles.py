@@ -14,17 +14,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import solve
 from repro.core.distributions import (
     GroupResponseTimeDistribution,
     ResponseTimeDistribution,
 )
-from repro.core.solvers import optimize_load_distribution
 from repro.workloads import example_group
 from repro.workloads.paper import EXAMPLE_TOTAL_RATE
 
 
 def percentile_profile(group, lam, p):
-    res = optimize_load_distribution(group, lam, "fcfs")
+    res = solve(group, lam, discipline="fcfs")
     out = []
     for i, srv in enumerate(group.servers):
         rd = ResponseTimeDistribution(
@@ -71,7 +71,7 @@ def test_tail_gap_widens_with_load(benchmark, p):
         means, tails = [], []
         for frac in (0.3, 0.9):
             lam = frac * group.max_generic_rate
-            res = optimize_load_distribution(group, lam, "fcfs")
+            res = solve(group, lam, discipline="fcfs")
             means.append(res.mean_response_time)
             tails.append(group_quantile(group, res, p))
         return means, tails

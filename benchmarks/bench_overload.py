@@ -35,6 +35,7 @@ from repro.faults import run_overload_chaos
 from repro.recovery import atomic_write_json
 from repro.runtime.admission import AdmissionConfig, AdmissionController
 from repro.runtime.loop import RuntimeConfig
+from repro.runtime.policies import RoutingConfig
 from repro.sim.arrivals import ClientWorkload, RetryPolicy
 
 ARTIFACT = os.path.join(
@@ -87,7 +88,7 @@ def _stacks():
             ),
         ),
         RuntimeConfig(
-            router="alias",
+            routing=RoutingConfig(policy="alias"),
             admission=AdmissionConfig(
                 classes=3, target_delay=4.0, interval=15.0, sojourn_tc=20.0
             ),
@@ -105,7 +106,7 @@ def _stacks():
                 jitter=0.5,
             ),
         ),
-        RuntimeConfig(router="alias"),
+        RuntimeConfig(routing=RoutingConfig(policy="alias")),
     )
     return {"admission": cured, "no-admission": metastable}
 

@@ -33,6 +33,7 @@ from repro import ShardConfig, solve
 from repro.core.server import BladeServer, BladeServerGroup
 from repro.recovery import RecoveryConfig
 from repro.runtime.loop import RuntimeConfig
+from repro.runtime.policies import RoutingConfig
 from repro.shard import pruning_gap_report, run_sharded_closed_loop
 from repro.workloads.traces import RateTrace
 
@@ -142,7 +143,8 @@ def test_sharded_closed_loop_fleet(quick, tmp_path):
     t_build = time.perf_counter() - t0
     trace = RateTrace.constant(150.0)
     config = RuntimeConfig(
-        router="alias",  # O(1) picks; SWRR would be O(n) per arrival
+        # O(1) picks; SWRR would be O(n) per arrival.
+        routing=RoutingConfig(policy="alias"),
         resolve_period=60.0,
         recovery=RecoveryConfig(enabled=True, directory=str(tmp_path)),
     )

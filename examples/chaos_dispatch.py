@@ -37,7 +37,7 @@ import tempfile
 
 from repro import BladeServerGroup
 from repro.faults import FaultPlan, FaultSchedule, FaultSpec, run_chaos
-from repro.runtime import RuntimeConfig, run_closed_loop
+from repro.runtime import RoutingConfig, RuntimeConfig, run_closed_loop
 from repro.workloads import RateTrace
 
 QUICK = bool(os.environ.get("REPRO_EXAMPLE_QUICK"))
@@ -52,7 +52,7 @@ group = BladeServerGroup.with_special_fraction(
 )
 RATE = 0.55 * group.max_generic_rate
 HORIZON = 6_000.0 * SCALE
-config = RuntimeConfig(router="alias")
+config = RuntimeConfig(routing=RoutingConfig(policy="alias"))
 
 # ---------------------------------------------------------------- part 1
 # A crafted schedule: the primary solver backends throw for 1500 s
@@ -61,7 +61,7 @@ config = RuntimeConfig(router="alias")
 schedule = FaultSchedule(
     [
         FaultSpec("solver-error", 500.0 * SCALE, 2_000.0 * SCALE,
-                  {"methods": ("kkt", "vectorized", "closed-form")}),
+                  {"methods": ("kkt", "newton", "closed-form")}),
         FaultSpec("estimator-noise", 500.0 * SCALE, 2_000.0 * SCALE,
                   {"sigma": 0.2}),
         FaultSpec("correlated-outage", 3_500.0 * SCALE, 4_200.0 * SCALE,

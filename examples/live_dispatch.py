@@ -37,10 +37,10 @@ import tempfile
 
 import numpy as np
 
-from repro import BladeServerGroup, RecoveryConfig, optimize_load_distribution
+from repro import BladeServerGroup, RecoveryConfig, solve
 from repro.analysis import Phase, phase_reports
 from repro.recovery import JOURNAL_NAME, list_checkpoints, read_journal
-from repro.runtime import RuntimeConfig, run_closed_loop
+from repro.runtime import RoutingConfig, RuntimeConfig, run_closed_loop
 from repro.workloads import RateTrace
 
 QUICK = bool(os.environ.get("REPRO_EXAMPLE_QUICK"))
@@ -65,7 +65,7 @@ SETTLE = 1_000.0 * SCALE  # transient skipped after each regime change
 
 trace = RateTrace.step(LAM0, at=STEP_AT, to=LAM1)
 config = RuntimeConfig(
-    router="alias",
+    routing=RoutingConfig(policy="alias"),
     recovery=RecoveryConfig(enabled=True, directory=JOURNAL_DIR),
 )
 print(f"fleet: {group.n} servers, saturation lambda'_max = {cap:.2f} tasks/s")
@@ -84,9 +84,9 @@ out = run_closed_loop(
 # Analytic targets: what the paper's solver picks when handed each
 # regime's true rate and surviving topology.
 survivors = BladeServerGroup(group.servers[1:], rbar=group.rbar)
-t_design = optimize_load_distribution(group, LAM0, "fcfs")
-t_stepped = optimize_load_distribution(group, LAM1, "fcfs")
-t_degraded = optimize_load_distribution(survivors, LAM1, "fcfs")
+t_design = solve(group, LAM0, discipline="fcfs")
+t_stepped = solve(group, LAM1, discipline="fcfs")
+t_degraded = solve(survivors, LAM1, discipline="fcfs")
 
 print()
 print("controller decisions:")

@@ -32,9 +32,9 @@ print(
 print(f"{'admitted':>9} {'of sat.':>8} {'T_opt':>8} {'rev/task':>9} {'profit/s':>9}")
 for frac in (0.2, 0.4, 0.6, 0.8, 0.9, 0.97):
     lam = frac * group.max_generic_rate
-    from repro import optimize_load_distribution
+    from repro import solve
 
-    t = optimize_load_distribution(group, lam).mean_response_time
+    t = solve(group, lam).mean_response_time
     p = profit_rate(group, lam, sla, cost_per_time=0.0)
     print(
         f"{lam:>9.2f} {frac:>8.0%} {t:>8.4f} {sla.per_task(t):>9.4f} {p:>9.4f}"

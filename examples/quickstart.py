@@ -11,7 +11,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import BladeServerGroup, optimize_load_distribution
+from repro import BladeServerGroup, solve
 
 # Seven heterogeneous blade servers: m_i = 2i blades of speed
 # s_i = 1.7 - 0.1i GIPS, each preloaded with dedicated special tasks
@@ -27,7 +27,7 @@ print(f"group capacity for generic tasks: {group.max_generic_rate:.2f} tasks/s")
 
 # Distribute lambda' = 23.52 generic tasks/s (50% of the spare capacity).
 for discipline in ("fcfs", "priority"):
-    result = optimize_load_distribution(group, 23.52, discipline)
+    result = solve(group, 23.52, discipline=discipline)
     print()
     print(f"=== special tasks {'with priority' if discipline == 'priority' else 'without priority'} ===")
     print(f"minimized mean response time T' = {result.mean_response_time:.7f} s")

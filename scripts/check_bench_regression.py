@@ -16,7 +16,10 @@ stable:
 * **speedup ratios** — computed within one run on one machine, so the
   committed and fresh ratios are each internally consistent.  A fresh
   ratio collapsing below ``RATIO_FLOOR`` times the committed one (or
-  below the ISSUE's absolute acceptance floors in full mode) fails;
+  below the absolute acceptance floors in full mode) fails;
+* **warm starts** — a ``phi``-warm-started Newton re-solve must need no
+  more outer iterations than the cold solve at the same size
+  (deterministic, so asserted in quick mode too);
 * **dispatch artifact ratios** — ``BENCH_dispatch.json`` is audited
   in place (no re-measurement): the state-aware policies' mean-T ratio
   vs the static alias baseline, and the microbench's within-run O(1)
@@ -53,10 +56,9 @@ RATIO_FLOOR = 0.34
 #: Iteration counts may exceed the committed baseline by this factor.
 ITER_CEILING = 1.5
 
-#: Absolute acceptance floors from the ISSUE, asserted in full mode.
+#: Absolute acceptance floors, asserted in full mode.
 ABSOLUTE_FLOORS = {
     "cold_kkt_over_newton@n=500": 10.0,
-    "warm_vectorized_over_newton@n=500": 5.0,
 }
 
 #: Acceptance ceiling on the sharded solve's optimality gap vs the flat
@@ -121,6 +123,14 @@ def compare(baseline: dict, fresh: dict, quick: bool) -> list[str]:
             failures.append(
                 f"{key}: {ratio:.1f}x vs committed {base:.1f}x "
                 f"(floor {RATIO_FLOOR * base:.1f}x)"
+            )
+    for n in fresh["sizes"]:
+        cold = fresh["entries"][f"newton@n={n}"]["iterations"]
+        warm = fresh["entries"][f"newton-warm@n={n}"]["iterations"]
+        if warm > cold:
+            failures.append(
+                f"newton-warm@n={n}: {warm} iterations vs {cold} cold "
+                "(a warm start must not cost extra outer iterations)"
             )
     if not quick:
         for key, floor in ABSOLUTE_FLOORS.items():

@@ -50,7 +50,7 @@ class SolveResult(LoadDistributionResult):
     ----------
     backend:
         The registry name of the backend that actually ran (``"auto"``
-        and aliases resolved — e.g. ``"kkt"``, ``"vectorized"``).
+        and aliases resolved — e.g. ``"kkt"``, ``"newton"``).
     elapsed_seconds:
         Wall-clock duration of the backend call.
     """
@@ -114,8 +114,8 @@ def solve(
     method:
         ``"auto"`` (default), a registered backend name
         (``"bisection"``, ``"kkt"``, ``"slsqp"``, ``"closed-form"``,
-        ``"vectorized"``), or the alias ``"paper"`` for the published
-        nested bisection.
+        ``"newton"``, ``"sharded"``), or the alias ``"paper"`` for the
+        published nested bisection.
     rbar:
         Shared mean task size, used only when ``servers`` is a plain
         sequence.
@@ -157,12 +157,12 @@ def solve_sweep(
 ) -> list[SolveResult]:
     """Run :func:`solve` at every ``lambda'`` of a sweep grid, in order.
 
-    For warm-startable backends (the bisection family), each point
-    after the first passes the previous point's converged ``phi`` as
-    ``phi_hint``, so the solver brackets the new multiplier around the
-    old one instead of re-doubling from the cold-start seed.  Results
-    are identical to cold starts up to the solver tolerance; only the
-    bracketing work changes.
+    For warm-startable backends (``bisection``, ``newton``,
+    ``sharded``), each point after the first passes the previous
+    point's converged ``phi`` as ``phi_hint``, so the solver brackets
+    the new multiplier around the old one instead of re-doubling from
+    the cold-start seed.  Results are identical to cold starts up to the
+    solver tolerance; only the bracketing work changes.
 
     Parameters
     ----------

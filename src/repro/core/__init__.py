@@ -5,9 +5,10 @@ Public surface:
 * :class:`~repro.core.mmm.MMmQueue` — steady-state M/M/m metrics.
 * :class:`~repro.core.server.BladeServer`,
   :class:`~repro.core.server.BladeServerGroup` — the domain model.
-* :func:`~repro.core.solvers.optimize_load_distribution` — the solver
-  façade (paper bisection / KKT / SLSQP / closed forms / batched
-  vectorized bisection).
+* :func:`~repro.core.solvers.dispatch` — the solver funnel behind
+  :func:`repro.solve` (paper bisection / KKT / SLSQP / closed forms /
+  damped Newton), with the backend registry in
+  :mod:`repro.core.solvers`.
 * :class:`~repro.core.response.Discipline` — FCFS vs. priority.
 * :class:`~repro.core.result.LoadDistributionResult` — solver output.
 """
@@ -48,6 +49,7 @@ from .exceptions import (
 )
 from .kkt import solve_kkt
 from .mmm import MMmQueue, mmm_mean_queue_length, mmm_response_time
+from .newton import marginal_cost_vec, p_zero_vec, waiting_factor_vec
 from .nlp import solve_nlp
 from .objective import gradient, marginal_cost, objective, server_marginal
 from .response import (
@@ -61,14 +63,7 @@ from .response import (
 )
 from .result import LoadDistributionResult
 from .server import BladeServer, BladeServerGroup
-from .solvers import available_methods, optimize_load_distribution
-from .vectorized import (
-    find_lambda_batched,
-    marginal_cost_vec,
-    p_zero_vec,
-    solve_vectorized,
-    waiting_factor_vec,
-)
+from .solvers import available_methods
 
 __all__ = [
     "AdmissionResult",
@@ -103,7 +98,6 @@ __all__ = [
     "d_generic_response_time_drho",
     "erlang_b",
     "erlang_c",
-    "find_lambda_batched",
     "find_lambda_i",
     "generic_response_time",
     "generic_response_time_rho",
@@ -114,7 +108,6 @@ __all__ = [
     "mmm_mean_queue_length",
     "mmm_response_time",
     "objective",
-    "optimize_load_distribution",
     "p_k",
     "p_zero",
     "p_zero_vec",
@@ -125,7 +118,6 @@ __all__ = [
     "solve_closed_form_priority",
     "solve_kkt",
     "solve_nlp",
-    "solve_vectorized",
     "special_waiting_time",
     "waiting_factor",
     "waiting_factor_vec",

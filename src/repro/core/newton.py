@@ -1,11 +1,11 @@
 """Damped-Newton dual-ascent solver backend.
 
 Every earlier backend reaches the paper's water-filling optimum by
-derivative-free root-finding: nested bisection (`core/bisection.py`,
-`core/vectorized.py`) or Brent's method (`core/kkt.py`).  Yet the
-optimum is a KKT point of a smooth convex program whose marginals are
-fully analytic (`core/objective.py`), so both root-finding levels admit
-second-order steps:
+derivative-free root-finding: nested bisection (`core/bisection.py`)
+or Brent's method (`core/kkt.py`).  Yet the optimum is a KKT point of
+a smooth convex program whose marginals are fully analytic
+(`core/objective.py`), so both root-finding levels admit second-order
+steps:
 
 Inner problem (per server, at multiplier ``phi``)
     ``lambda'_i(phi)`` solves ``g_i(lambda) = phi`` where
@@ -21,11 +21,10 @@ Inner problem (per server, at multiplier ``phi``)
     with the second derivative from
     :func:`repro.core.response.d2_generic_response_time_drho2`.  All
     ``n`` inner Newton iterates advance together as arrays (one batched
-    kernel evaluation per sweep, reusing the `core/vectorized.py`
-    machinery), each safeguarded by a per-server bracket: a step
-    leaving its bracket falls back to the bracket midpoint, so progress
-    is never worse than bisection while quadratic convergence holds
-    near the root.
+    kernel evaluation per sweep), each safeguarded by a per-server
+    bracket: a step leaving its bracket falls back to the bracket
+    midpoint, so progress is never worse than bisection while quadratic
+    convergence holds near the root.
 
 Outer problem (the dual multiplier)
     ``F(phi) = sum_i lambda'_i(phi)`` is continuous and non-decreasing;
@@ -48,6 +47,12 @@ jumps across the root inside a multiplier window narrower than float
 resolution and the endpoint rate vectors are interpolated
 component-wise (the same repair the KKT backend applies).
 
+The batched NumPy kernels (:func:`p_zero_vec`,
+:func:`waiting_factor_vec`, :func:`marginal_cost_vec` and their
+derivatives) evaluate all ``n`` servers in one pass with the same
+stable scaled-recurrence / log-space math as :mod:`repro.core.erlang`
+and :mod:`repro.core.response`: no factorials, no ``rho**m`` underflow.
+
 Registered as ``method="newton"`` (warm-startable); the measured
 speedups over the other backends are committed in
 ``BENCH_solver_scaling.json`` at the repo root.
@@ -56,23 +61,214 @@ speedups over the other backends are committed in
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
 from .bisection import DEFAULT_TOL, STABILITY_MARGIN, settle_residual
-from .exceptions import ConvergenceError, ParameterError
+from .exceptions import ConvergenceError, ParameterError, SaturationError
 from .response import Discipline
 from .result import LoadDistributionResult
 from .server import BladeServerGroup
-from .vectorized import (
-    _d_response_drho_vec,
-    _dp_zero_drho_vec,
-    _waiting_factor_from_p0,
-    p_zero_vec,
-)
 
-__all__ = ["solve_newton", "marginal_cost_and_slope_vec"]
+__all__ = [
+    "solve_newton",
+    "marginal_cost_and_slope_vec",
+    "marginal_cost_vec",
+    "p_zero_vec",
+    "waiting_factor_vec",
+]
+
+#: Rescale threshold of the partial-sum recurrence (same as erlang.py).
+_RESCALE_AT = 1e290
+
+
+def _as_server_arrays(
+    ms: Sequence[int], rhos: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate and coerce parallel (m, rho) arrays."""
+    ms = np.asarray(ms, dtype=np.int64)
+    rhos = np.asarray(rhos, dtype=float)
+    if ms.ndim != 1 or ms.shape != rhos.shape:
+        raise ParameterError(
+            f"ms and rhos must be equal-length 1-D arrays, got shapes "
+            f"{ms.shape} and {rhos.shape}"
+        )
+    if ms.size == 0:
+        raise ParameterError("need at least one server")
+    if np.any(ms < 1):
+        raise ParameterError(f"server sizes must be >= 1, got {ms}")
+    if np.any(~np.isfinite(rhos)) or np.any(rhos < 0.0):
+        raise ParameterError(f"utilizations must be finite and >= 0, got {rhos}")
+    if np.any(rhos >= 1.0):
+        worst = float(rhos.max())
+        raise SaturationError(
+            f"M/M/m steady state requires rho < 1, got {worst}", rho=worst
+        )
+    return ms, rhos
+
+
+def p_zero_vec(ms: Sequence[int], rhos: Sequence[float]) -> np.ndarray:
+    """Empty-system probabilities ``p_{i,0}`` for all servers at once.
+
+    Vectorized transcription of :func:`repro.core.erlang.p_zero`: the
+    scaled term recurrence ``t_k = t_{k-1} a_i / k`` runs over a shared
+    ``k`` axis with per-server masks (server ``i`` stops growing at
+    ``k = m_i - 1``), and per-server rescale events fold into a
+    log-scale accumulator, so the kernel neither overflows nor loses
+    precision for thousands of blades per server.
+    """
+    ms, rhos = _as_server_arrays(ms, rhos)
+    a = ms * rhos
+    term = np.ones_like(rhos)
+    total = np.ones_like(rhos)
+    log_scale = np.zeros_like(rhos)
+    for k in range(1, int(ms.max())):
+        growing = ms > k
+        np.multiply(term, a / k, out=term, where=growing)
+        total[growing] += term[growing]
+        big = total > _RESCALE_AT
+        if big.any():
+            scale = total[big]
+            term[big] /= scale
+            total[big] = 1.0
+            log_scale[big] += np.log(scale)
+    # Tail term a^m/m! / (1 - rho): one more recurrence step from
+    # a^{m-1}/(m-1)! covers every m >= 1.
+    term_m = term * a / ms
+    total = total + term_m / (1.0 - rhos)
+    return np.exp(-log_scale) / total
+
+
+def _waiting_factor_from_p0(
+    ms: np.ndarray, rhos: np.ndarray, p0: np.ndarray
+) -> np.ndarray:
+    """``p_0 m^{m-1}/m! rho^m/(1-rho)^2`` given precomputed ``p_0``."""
+    out = np.zeros_like(rhos)
+    pos = rhos > 0.0
+    if pos.any():
+        m = ms[pos].astype(float)
+        r = rhos[pos]
+        log_shape = (m - 1.0) * np.log(m) - gammaln(m + 1.0) + m * np.log(r)
+        out[pos] = p0[pos] * np.exp(log_shape) / (1.0 - r) ** 2
+    return out
+
+
+def waiting_factor_vec(ms: Sequence[int], rhos: Sequence[float]) -> np.ndarray:
+    """Non-priority waiting terms ``W_i / xbar_i`` for all servers at once.
+
+    Vectorized :func:`repro.core.response.waiting_factor`: the
+    ``m^{m-1}/m! * rho^m`` shape factor is evaluated in log space
+    (``gammaln`` instead of factorials).
+    """
+    ms, rhos = _as_server_arrays(ms, rhos)
+    return _waiting_factor_from_p0(ms, rhos, p_zero_vec(ms, rhos))
+
+
+def _dp_zero_drho_vec(
+    ms: np.ndarray, rhos: np.ndarray, p0: np.ndarray
+) -> np.ndarray:
+    """Batched :func:`repro.core.erlang.dp_zero_drho` (given ``p_0``).
+
+    Mirrors the scalar scaled term recurrence
+    ``u_{k+1} = u_k a / k`` for the head sum and the log-space tail.
+    """
+    a = ms * rhos
+    mf = ms.astype(float)
+    # Head sum: sum_{k=1}^{m-1} m^k rho^{k-1}/(k-1)!; k = 1 term is m
+    # (only present for m >= 2).
+    s = np.where(ms >= 2, mf, 0.0)
+    u = mf.copy()
+    for k in range(2, int(ms.max())):
+        growing = ms > k
+        np.multiply(u, a / (k - 1), out=u, where=growing)
+        s[growing] += u[growing]
+    # Tail: m^m/m! * rho^{m-1} (m - (m-1) rho) / (1-rho)^2, in log space.
+    tail = np.zeros_like(rhos)
+    pos = rhos > 0.0
+    if pos.any():
+        m = mf[pos]
+        r = rhos[pos]
+        log_tail = m * np.log(m) - gammaln(m + 1.0) + (m - 1.0) * np.log(r)
+        tail[pos] = np.exp(log_tail) * (m - (m - 1.0) * r) / (1.0 - r) ** 2
+    zero = ~pos
+    if zero.any():
+        tail[zero] = np.where(ms[zero] == 1, 1.0, 0.0)
+    # m = 1 closed form: p0 = 1 - rho has no head sum and tail 1/(1-rho)^2.
+    m1 = ms == 1
+    if m1.any():
+        s[m1] = 0.0
+        tail[m1] = 1.0 / (1.0 - rhos[m1]) ** 2
+    return -p0 * p0 * (s + tail)
+
+
+def _d_response_drho_vec(
+    ms: np.ndarray,
+    xbars: np.ndarray,
+    rhos: np.ndarray,
+    rho_specials: np.ndarray,
+    disc: Discipline,
+    p0: np.ndarray,
+) -> np.ndarray:
+    """Batched :func:`repro.core.response.d_generic_response_time_drho`."""
+    out = np.zeros_like(rhos)
+    pos = rhos > 0.0
+    if pos.any():
+        mi = ms[pos]
+        m = mi.astype(float)
+        r = rhos[pos]
+        c = np.exp((m - 1.0) * np.log(m) - gammaln(m + 1.0))
+        dp0 = _dp_zero_drho_vec(mi, r, p0[pos])
+        term1 = dp0 * r**mi / (1.0 - r) ** 2
+        term2 = p0[pos] * r ** (mi - 1) * (m - (m - 2.0) * r) / (1.0 - r) ** 3
+        out[pos] = xbars[pos] * c * (term1 + term2)
+        if disc is Discipline.PRIORITY:
+            out[pos] /= 1.0 - rho_specials[pos]
+    zero = ~pos
+    if zero.any():
+        # rho = 0 limit: slope xbar for m = 1, zero otherwise.
+        out[zero] = np.where(ms[zero] == 1, xbars[zero], 0.0)
+    return out
+
+
+def marginal_cost_vec(
+    ms: Sequence[int],
+    xbars: Sequence[float],
+    special_rates: Sequence[float],
+    generic_rates: Sequence[float],
+    total_rate: float,
+    discipline: Discipline | str = Discipline.FCFS,
+) -> np.ndarray:
+    """Batched paper marginal costs ``dT'/d lambda'_i`` (Eq. (1) LHS).
+
+    Evaluates :func:`repro.core.objective.marginal_cost` for every
+    server in one NumPy pass; agrees with the scalar implementation to
+    floating-point round-off on the stability region and raises
+    :class:`~repro.core.exceptions.SaturationError` when any server is
+    at or beyond ``rho_i = 1``.
+    """
+    if not (math.isfinite(total_rate) and total_rate > 0.0):
+        raise ParameterError(f"total_rate must be > 0, got {total_rate!r}")
+    xbars = np.asarray(xbars, dtype=float)
+    specials = np.asarray(special_rates, dtype=float)
+    lams = np.asarray(generic_rates, dtype=float)
+    if np.any(lams < 0.0):
+        raise ParameterError("generic rates must be >= 0")
+    ms_arr = np.asarray(ms, dtype=np.int64)
+    rho = (lams + specials) * xbars / ms_arr
+    rho_g = lams * xbars / ms_arr
+    rho_s = specials * xbars / ms_arr
+    ms_arr, rho = _as_server_arrays(ms_arr, rho)
+    disc = Discipline.coerce(discipline)
+    p0 = p_zero_vec(ms_arr, rho)
+    w = _waiting_factor_from_p0(ms_arr, rho, p0)
+    if disc is Discipline.PRIORITY:
+        w = w / (1.0 - rho_s)
+    t = xbars * (1.0 + w)
+    dt = _d_response_drho_vec(ms_arr, xbars, rho, rho_s, disc, p0)
+    return (t + rho_g * dt) / total_rate
+
 
 #: Inner Newton sweeps per outer iteration before declaring failure.
 #: Safeguarded steps halve a bracket at worst, so ~60 sweeps resolve
@@ -185,12 +381,12 @@ def marginal_cost_and_slope_vec(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched marginal costs ``g_i`` and their slopes ``g_i'``.
 
-    One shared :func:`~repro.core.vectorized.p_zero_vec` evaluation
+    One shared :func:`p_zero_vec` evaluation
     feeds the response time, both response-time derivatives, and hence
     both outputs:
 
     * ``g_i = (T'_i + rho'_i dT'_i/drho) / lambda'`` — identical to
-      :func:`~repro.core.vectorized.marginal_cost_vec`;
+      :func:`marginal_cost_vec`;
     * ``g_i' = (xbar_i/m_i) (2 dT'_i/drho + rho'_i d2T'_i/drho2)
       / lambda'`` — strictly positive on the stability region (``T'``
       is increasing and convex in ``rho``), which is what makes both
@@ -354,7 +550,7 @@ def solve_newton(
         rates = np.where(pinned, hard_caps, 0.0)
         if free.any():
             # Pad carried-over bounds by tol (the accuracy of the rates
-            # they came from), exactly as find_lambda_batched does.
+            # they came from) and clip them to the stability region.
             lb = np.clip(np.where(free, lo - tol, 0.0), 0.0, hard_caps)
             ub = np.where(free, np.minimum(hi + tol, hard_caps), 0.0)
             lb = np.minimum(lb, ub)

@@ -9,11 +9,11 @@ The public way to run the optimizer is :func:`repro.solve` (see
   starts).  Out-of-tree backends register themselves here and become
   addressable through ``repro.solve(..., method="name")``.
 * :func:`resolve_method` — ``"auto"`` resolution and name validation.
-* :func:`dispatch` — the non-deprecated internal entry point every
-  in-tree caller (facade, controller, sweeps, analysis) routes
-  through.  It is also the observability choke point: one ``solve``
-  span and the ``repro_solve_*`` metrics per invocation, regardless of
-  which entry point the caller came in by.
+* :func:`dispatch` — the internal entry point every in-tree caller
+  (facade, controller, sweeps, analysis) routes through.  It is also
+  the observability choke point: one ``solve`` span and the
+  ``repro_solve_*`` metrics per invocation, regardless of which entry
+  point the caller came in by.
 
 Registered backends:
 
@@ -24,8 +24,6 @@ method             backend
 ``"kkt"``          Brent-based water-filling (same answer, fast for small n)
 ``"slsqp"``        scipy SLSQP on the constrained simplex
 ``"closed-form"``  Theorems 1/3 (requires all ``m_i = 1``)
-``"vectorized"``   batched NumPy bisection — all servers advance together
-                   (supports ``phi_hint`` warm starts)
 ``"newton"``       damped-Newton dual ascent on analytic second derivatives
                    (fastest at every measured size; warm-startable)
 ``"sharded"``      hierarchical KKT for fleet scale: outer Newton on the
@@ -35,16 +33,11 @@ method             backend
 ``"auto"``         ``closed-form`` when all sizes are 1, ``newton`` for
                    groups of n >= 16, else ``kkt``
 =================  ==========================================================
-
-:func:`optimize_load_distribution` — the historical entry point — still
-works with its original signature but emits a :class:`DeprecationWarning`
-pointing at :func:`repro.solve`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,7 +51,6 @@ from .nlp import solve_nlp
 from .response import Discipline
 from .result import LoadDistributionResult
 from .server import BladeServerGroup
-from .vectorized import _solve_vectorized
 
 __all__ = [
     "SolverMethod",
@@ -68,7 +60,6 @@ __all__ = [
     "warm_startable_methods",
     "resolve_method",
     "dispatch",
-    "optimize_load_distribution",
 ]
 
 _Solver = Callable[..., LoadDistributionResult]
@@ -108,8 +99,8 @@ def register_method(
     """Register (or, with ``replace``, override) a solver backend.
 
     ``name`` becomes addressable via ``repro.solve(..., method=name)``
-    and every shim that funnels into :func:`dispatch`.  ``"auto"`` is
-    reserved for the resolution rule.
+    and :func:`dispatch`.  ``"auto"`` is reserved for the resolution
+    rule.
     """
     key = name.lower()
     if key == "auto":
@@ -144,20 +135,13 @@ register_method("bisection", calculate_t_prime, warm_startable=True)
 register_method("kkt", solve_kkt)
 register_method("slsqp", solve_nlp)
 register_method("closed-form", solve_closed_form)
-register_method("vectorized", _solve_vectorized, warm_startable=True)
 register_method("newton", solve_newton, warm_startable=True)
 
 #: Group size at which ``"auto"`` switches from the scalar KKT solver to
 #: the damped-Newton dual-ascent backend (crossover measured in
 #: ``benchmarks/bench_solver_scaling.py`` and committed in
-#: ``BENCH_solver_scaling.json``; newton also dominates the batched
-#: bisection at every measured size, so it replaced ``"vectorized"`` as
-#: the large-group resolution).
+#: ``BENCH_solver_scaling.json``).
 AUTO_NEWTON_THRESHOLD = 16
-
-#: Historical name for the large-group auto threshold, kept as an alias
-#: while callers migrate; ``"auto"`` now resolves to ``"newton"`` there.
-AUTO_VECTORIZED_THRESHOLD = AUTO_NEWTON_THRESHOLD
 
 
 def resolve_method(group: BladeServerGroup, method: str = "auto") -> str:
@@ -262,49 +246,3 @@ def dispatch(
     iters.observe(max(result.iterations, 1))
     return result
 
-
-def optimize_load_distribution(
-    group: BladeServerGroup,
-    total_rate: float,
-    discipline: Discipline | str = Discipline.FCFS,
-    method: str = "auto",
-    **solver_kwargs,
-) -> LoadDistributionResult:
-    """Minimize the mean generic-task response time over a server group.
-
-    .. deprecated:: 1.1
-        This is the historical entry point, kept signature-compatible;
-        new code should call :func:`repro.solve`, which returns the
-        same numbers (bit-identical rates) as a
-        :class:`~repro.api.SolveResult`.
-
-    Parameters
-    ----------
-    group:
-        The heterogeneous blade-server group (sizes, speeds, special
-        loads, shared ``rbar``).
-    total_rate:
-        Total generic arrival rate ``lambda'`` to distribute.  Must be
-        strictly below ``group.max_generic_rate``.
-    discipline:
-        ``"fcfs"`` (special tasks without priority, paper Section 3) or
-        ``"priority"`` (Section 4).
-    method:
-        Solver backend; see module docstring.
-    **solver_kwargs:
-        Passed through to the backend (e.g. ``tol`` for bisection).
-
-    Raises
-    ------
-    InfeasibleError
-        If ``total_rate >= group.max_generic_rate``.
-    ParameterError
-        On an unknown method name or invalid inputs.
-    """
-    warnings.warn(
-        "optimize_load_distribution() is deprecated; use repro.solve(servers, "
-        "lam, discipline=..., method=...) — same numbers, richer result",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return dispatch(group, total_rate, discipline, method, **solver_kwargs)

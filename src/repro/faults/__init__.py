@@ -32,14 +32,15 @@ Typical chaos run::
 Targeted injection::
 
     from repro.faults import FaultPlan, FaultSchedule, FaultSpec
-    from repro.runtime import RuntimeConfig, run_closed_loop
+    from repro.runtime import RoutingConfig, RuntimeConfig, run_closed_loop
 
     schedule = FaultSchedule(
         [FaultSpec("solver-error", 500.0, 900.0,
-                   {"methods": ("kkt", "vectorized")})],
+                   {"methods": ("kkt", "newton", "closed-form")})],
         seed=7,
     )
-    out = run_closed_loop(group, trace, RuntimeConfig(router="alias"),
+    config = RuntimeConfig(routing=RoutingConfig(policy="alias"))
+    out = run_closed_loop(group, trace, config,
                           horizon=3_000.0, fault_plan=FaultPlan(schedule))
     print(out.metrics.fallback_depth.by_source)
 """

@@ -47,6 +47,7 @@ from ..obs import get_obs
 from ..recovery.checkpoint import RecoveryConfig
 from ..recovery.journal import atomic_write_json
 from ..runtime.loop import RuntimeConfig, run_closed_loop
+from ..runtime.policies import RoutingConfig
 from ..workloads.traces import RateTrace
 from .injectors import FaultPlan
 from .schedule import (
@@ -205,18 +206,7 @@ class ChaosSuiteReport:
 
     def tail_confidence_interval(self, confidence: float = 0.95) -> tuple[float, float]:
         """Replication CI over the per-seed post-fault tail means."""
-        from scipy import stats as scipy_stats
-
-        means = self.tail_means
-        if means.size < 2:
-            raise ParameterError("need >= 2 completed runs for a replication CI")
-        center = float(np.mean(means))
-        half = float(
-            scipy_stats.t.ppf(0.5 + confidence / 2.0, df=means.size - 1)
-            * np.std(means, ddof=1)
-            / math.sqrt(means.size)
-        )
-        return center - half, center + half
+        return _replication_ci(self.tail_means, confidence)
 
     def reconverged(self, confidence: float = 0.95) -> bool:
         """Whether the analytic ``T'`` lies inside the replication CI."""
@@ -340,7 +330,7 @@ def run_chaos(
         ``allow_crash`` or from a crafted ``schedule_factory``.
     """
     if config is None:
-        config = RuntimeConfig(router="alias")
+        config = RuntimeConfig(routing=RoutingConfig(policy="alias"))
     analytic = dispatch(
         group, rate, config.discipline
     ).mean_response_time
@@ -696,7 +686,7 @@ def run_sharded_chaos(
     from ..shard.runtime import run_sharded_closed_loop
 
     if config is None:
-        config = RuntimeConfig(router="alias")
+        config = RuntimeConfig(routing=RoutingConfig(policy="alias"))
     if shard_config is None:
         shard_config = ShardConfig(shards=4)
     plan = partition_group(group, shard_config)
@@ -1050,7 +1040,7 @@ def run_overload_chaos(
         starts; defaults to 30% of the post-fault stretch.
     """
     if config is None:
-        config = RuntimeConfig(router="alias")
+        config = RuntimeConfig(routing=RoutingConfig(policy="alias"))
     start = 0.15 * horizon if burst_at is None else burst_at
     duration = 0.15 * horizon if burst_duration is None else burst_duration
     analytic = dispatch(group, rate, config.discipline).mean_response_time

@@ -105,6 +105,7 @@ __all__ = [
     "SHARD_FAULT_KINDS",
     "OVERLOAD_FAULT_KINDS",
     "FAULT_KINDS",
+    "PRIMARY_ONLY_METHODS",
     "FaultSpec",
     "FaultSchedule",
     "random_fault_schedule",
@@ -126,6 +127,11 @@ FAULT_KINDS = (
     | SHARD_FAULT_KINDS
     | OVERLOAD_FAULT_KINDS
 )
+
+#: Backends a "primary-only" solver fault targets: every name ``"auto"``
+#: can resolve to, so the fault breaks the primary path at any group
+#: size while the ``bisection`` fallback rung keeps working.
+PRIMARY_ONLY_METHODS = ("kkt", "newton", "closed-form")
 
 #: Kinds whose window may collapse to an instant (``start == end``).
 _POINT_EVENT_KINDS = CRASH_FAULT_KINDS | frozenset(
@@ -400,12 +406,12 @@ def random_fault_schedule(
             # bisection rung); the other half break every backend
             # (exercising the proportional rung).
             if rng.random() < 0.5:
-                params["methods"] = ("kkt", "vectorized", "closed-form")
+                params["methods"] = PRIMARY_ONLY_METHODS
             params["p"] = float(rng.uniform(0.6, 1.0))
         elif kind == "solver-latency":
             params["latency"] = float(rng.uniform(0.5, 5.0))
             if rng.random() < 0.5:
-                params["methods"] = ("kkt", "vectorized", "closed-form")
+                params["methods"] = PRIMARY_ONLY_METHODS
         elif kind == "estimator-noise":
             params["sigma"] = float(rng.uniform(0.05, 0.4))
         elif kind == "estimator-bias":

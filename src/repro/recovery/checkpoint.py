@@ -315,7 +315,7 @@ class CheckpointCodec:
                 if seed_weights is None or float(np.sum(seed_weights)) <= 0.0:
                     seed_weights = np.ones(runtime.health.group.n)
                 runtime._router = build_router(
-                    runtime.config.routing_config(), seed_weights, runtime._router_rng
+                    runtime.config.routing, seed_weights, runtime._router_rng
                 )
             runtime._router.load_state(snapshot["router"])
 

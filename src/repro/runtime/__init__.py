@@ -77,7 +77,6 @@ from .router import (
     AliasTableRouter,
     SmoothWeightedRoundRobinRouter,
     WeightedRouter,
-    make_router,
 )
 
 __all__ = [
@@ -111,7 +110,6 @@ __all__ = [
     "WeightedRouter",
     "available_routers",
     "build_router",
-    "make_router",
     "register_router",
     "registered_routers",
     "router_spec",

@@ -13,9 +13,10 @@ current cluster health (:mod:`repro.runtime.health`), it
    quantized rate, discipline, backend)`` when possible,
 4. otherwise calls the solver façade, warm-starting ``phi`` from the
    last converged multiplier when the backend supports it (the
-   :data:`~repro.workloads.sweeps.WARM_STARTABLE` machinery — along a
-   drifting-load trajectory consecutive optima have nearby multipliers
-   for exactly the reason sweep points do), and
+   registry's :func:`~repro.core.solvers.warm_startable_methods`, read
+   at decision time — along a drifting-load trajectory consecutive
+   optima have nearby multipliers for exactly the reason sweep points
+   do), and
 5. applies *hysteresis* at adoption time: a new split whose routing
    fractions barely differ from the live ones is discarded, so
    estimator noise never thrashes the router.
@@ -32,10 +33,9 @@ import numpy as np
 
 from ..core.response import Discipline
 from ..core.result import LoadDistributionResult
-from ..core.solvers import dispatch, resolve_method
+from ..core.solvers import dispatch, resolve_method, warm_startable_methods
 from ..core.exceptions import ParameterError
 from ..obs import get_obs
-from ..workloads.sweeps import WARM_STARTABLE
 from .health import CapacityPlan, HealthTracker
 
 __all__ = ["ResolveOutcome", "ResolveController"]
@@ -82,7 +82,7 @@ class ResolveController:
         Queueing discipline passed to the solver.
     method:
         Solver backend name (``"auto"`` resolves per active subgroup —
-        a failure that shrinks the group below the vectorized threshold
+        a failure that shrinks the group below the ``newton`` threshold
         switches backends transparently).
     rate_quantum:
         Width of the rate-quantization grid as a fraction of the active
@@ -95,9 +95,9 @@ class ResolveController:
         disables hysteresis.
     solve_fn:
         The solver callable, with the signature of
-        :func:`~repro.core.solvers.optimize_load_distribution` (the
-        default).  The fault-injection framework substitutes a wrapped
-        callable here; production callers never need to.
+        :func:`~repro.core.solvers.dispatch` (the default).  The
+        fault-injection framework substitutes a wrapped callable here;
+        production callers never need to.
     **solver_kwargs:
         Forwarded to every solver call (e.g. ``tol``).
     """
@@ -217,9 +217,9 @@ class ResolveController:
 
         kwargs = dict(self._solver_kwargs)
         if (
-            backend in WARM_STARTABLE
-            and self._phi_hint is not None
+            self._phi_hint is not None
             and self._phi_fingerprint == fingerprint
+            and backend in warm_startable_methods()
         ):
             kwargs["phi_hint"] = self._phi_hint
         start = time.perf_counter()

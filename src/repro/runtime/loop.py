@@ -65,8 +65,7 @@ class RuntimeConfig(ConfigBase):
     Attributes
     ----------
     discipline, method:
-        Forwarded to the solver (see
-        :func:`~repro.core.solvers.optimize_load_distribution`).
+        Forwarded to the solver (see :func:`repro.solve`).
     estimator:
         ``"ewma"`` (exponential kernel) or ``"window"`` (sliding count).
     time_constant:
@@ -87,15 +86,12 @@ class RuntimeConfig(ConfigBase):
     utilization_cap:
         Degradation cap: admitted load never exceeds this fraction of
         the surviving capacity; the excess is shed.
-    router:
-        Legacy data-plane knob: the routing policy name, honored only
-        when ``routing`` is ``None``.  Prefer ``routing``.
     routing:
-        Full data-plane configuration (see
+        Data-plane configuration (see
         :class:`repro.runtime.policies.RoutingConfig`): the policy name
         resolved against the router registry plus its knobs (e.g. the
-        power-of-``d`` sample count).  ``None`` falls back to
-        ``RoutingConfig(policy=self.router)``.
+        power-of-``d`` sample count).  Defaults to smooth weighted
+        round-robin.
     admission:
         Optional priority admission control (see
         :class:`repro.runtime.admission.AdmissionConfig`): a token
@@ -165,8 +161,7 @@ class RuntimeConfig(ConfigBase):
     rate_quantum: float = 0.002
     cache_size: int = 64
     utilization_cap: float = 0.92
-    router: str = "swrr"
-    routing: RoutingConfig | None = None
+    routing: RoutingConfig = RoutingConfig()
     admission: AdmissionConfig | None = None
     seed: int = 0
     solver_tol: float | None = None
@@ -181,12 +176,6 @@ class RuntimeConfig(ConfigBase):
     time_tolerance: float = 1e-6
     obs: ObsConfig = ObsConfig()
     recovery: RecoveryConfig = RecoveryConfig()
-
-    def routing_config(self) -> RoutingConfig:
-        """The effective data-plane config (legacy ``router`` when unset)."""
-        if self.routing is not None:
-            return self.routing
-        return RoutingConfig(policy=self.router)
 
 
 @dataclass(frozen=True)
@@ -321,11 +310,10 @@ class LoadDistributionRuntime:
         self._weights: np.ndarray | None = None
         self._result: LoadDistributionResult | None = None
         self._router = None
-        self._routing = config.routing_config()
         # Resolving the spec here validates the policy name up front
         # (before any traffic) and fixes whether completion events must
         # be journaled for deterministic queue-state replay.
-        self._state_aware = router_spec(self._routing.policy).state_aware
+        self._state_aware = router_spec(config.routing.policy).state_aware
         # Per-server generic tasks in flight: incremented by _route(),
         # decremented by observe_completion().  Maintained for every
         # policy (O(1) either way) so swapping to a state-aware one is
@@ -400,7 +388,7 @@ class LoadDistributionRuntime:
                 # drops every arrival before the router is consulted).
                 if self._router is None:
                     self._router = build_router(
-                        self._routing, self._weights, self._router_rng
+                        self.config.routing, self._weights, self._router_rng
                     )
                 else:
                     self._router.set_weights(self._weights)

@@ -30,9 +30,7 @@ The registry (:func:`register_router` / :func:`build_router`) mirrors
 the solver-method registry of :mod:`repro.core.solvers`: policies are
 addressable by name through :class:`RoutingConfig`, out-of-tree
 policies register themselves and become usable from
-``RuntimeConfig(routing=RoutingConfig(policy="name"))``, and the
-legacy :func:`repro.runtime.router.make_router` survives as a
-deprecation shim over the same lookup.
+``RuntimeConfig(routing=RoutingConfig(policy="name"))``.
 
 Queue-state contract
 --------------------
@@ -450,8 +448,7 @@ class RouterSpec:
     Attributes
     ----------
     name:
-        The name accepted by ``RoutingConfig(policy=name)`` (and the
-        legacy ``make_router``/``RuntimeConfig.router`` spellings).
+        The name accepted by ``RoutingConfig(policy=name)``.
     factory:
         ``factory(weights, rng, config) -> RouterPolicy`` building a
         fresh policy instance; ``config`` is the full
@@ -480,8 +477,7 @@ def register_router(
     """Register (or, with ``replace``, override) a routing policy.
 
     ``name`` becomes addressable via
-    ``RuntimeConfig(routing=RoutingConfig(policy=name))`` and the
-    legacy ``make_router`` shim.
+    ``RuntimeConfig(routing=RoutingConfig(policy=name))``.
     """
     key = name.lower()
     if key in _REGISTRY and not replace:
@@ -522,10 +518,8 @@ def build_router(
 ) -> RouterPolicy:
     """Build the policy named by ``config`` over ``weights``.
 
-    The non-deprecated construction funnel: the runtime, the checkpoint
-    codec, and the shard dispatchers all come through here, and the
-    legacy :func:`~repro.runtime.router.make_router` shim reduces to
-    this lookup.
+    The single construction funnel: the runtime, the checkpoint codec,
+    and the shard dispatchers all come through here.
     """
     return router_spec(config.policy).factory(weights, rng, config)
 

@@ -29,7 +29,6 @@ protocol (``pick`` accepts — and ignores — the live queue state).
 
 from __future__ import annotations
 
-import warnings
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "WeightedRouter",
     "SmoothWeightedRoundRobinRouter",
     "AliasTableRouter",
-    "make_router",
 ]
 
 
@@ -207,26 +205,3 @@ class AliasTableRouter:
         self._weights = _normalize(state["weights"], None)
         self._build()
 
-
-def make_router(
-    backend: str, weights: Sequence[float], rng: np.random.Generator
-) -> WeightedRouter:
-    """Build a router backend by name.
-
-    .. deprecated::
-        Use :func:`repro.runtime.policies.build_router` with a
-        :class:`~repro.runtime.policies.RoutingConfig` instead.  This
-        shim reduces to the same registry lookup and constructs
-        bit-identical routers (same pick sequence for a fixed seed);
-        it raises :class:`~repro.core.exceptions.ParameterError` for
-        unregistered names exactly as before.
-    """
-    warnings.warn(
-        "make_router() is deprecated; use "
-        "repro.runtime.policies.build_router(RoutingConfig(policy=...), ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .policies import RoutingConfig, build_router
-
-    return build_router(RoutingConfig(policy=backend.lower()), weights, rng)

@@ -1,41 +1,24 @@
-"""Arrival-rate sweep grids — and sweep solving — for the paper's figures.
+"""Arrival-rate sweep grids for the paper's figures.
 
 Every figure plots the minimized ``T'`` against the total generic rate
 ``lambda'``.  The paper draws each curve up to (just short of) its
 group's saturation point; when several groups share one figure the
 x-axis must be common, so the shared grid stops short of the *smallest*
 saturation point among the groups.  :func:`shared_sweep` encodes that
-convention.
-
-:func:`solve_sweep` evaluates one group over a grid and, for the
-bisection-family backends, warm-starts each point's multiplier bracket
-from the previous point's converged ``phi`` instead of re-doubling from
-the seed — ``phi`` varies smoothly along a sweep, so the previous value
-is an excellent bracket anchor.  Sharded sweeps (``method="sharded"``)
-carry a *dict* of per-shard multipliers between points instead of one
-scalar, and partition the fleet once for the whole grid; both behaviours
-live in the facade (:func:`repro.solve_sweep`) this wrapper delegates
-to.
+convention.  Solving a group over a grid, with warm starts from point
+to point, is :func:`repro.solve_sweep`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
 
 from ..core.exceptions import ParameterError
-from ..core.response import Discipline
-from ..core.result import LoadDistributionResult
 from ..core.server import BladeServerGroup
-from ..core.solvers import warm_startable_methods
 
-__all__ = ["sweep_rates", "shared_sweep", "solve_sweep", "WARM_STARTABLE"]
-
-#: Backends whose solver accepts a ``phi_hint`` warm start (sourced from
-#: the method registry; kept as a module constant for back compat).
-WARM_STARTABLE = warm_startable_methods()
+__all__ = ["sweep_rates", "shared_sweep"]
 
 
 def sweep_rates(
@@ -78,41 +61,6 @@ def shared_sweep(
     _check(points, lo_fraction, hi_fraction)
     cap = min(g.max_generic_rate for g in groups)
     return np.linspace(lo_fraction * cap, hi_fraction * cap, points)
-
-
-def solve_sweep(
-    group: BladeServerGroup,
-    rates: Sequence[float],
-    discipline: Discipline | str = Discipline.FCFS,
-    method: str = "auto",
-    warm_start: bool = True,
-    **solver_kwargs,
-) -> list[LoadDistributionResult]:
-    """Solve one group at every ``lambda'`` of a sweep grid, in order.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.solve_sweep` (keyword-only arguments, returns
-        :class:`~repro.api.SolveResult` objects); this wrapper keeps
-        the historical positional signature and delegates to it.
-    """
-    warnings.warn(
-        "repro.workloads.sweeps.solve_sweep() is deprecated; use "
-        "repro.solve_sweep(group, rates, discipline=..., method=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..api import solve_sweep as _facade_sweep
-
-    return list(
-        _facade_sweep(
-            group,
-            rates,
-            discipline=discipline,
-            method=method,
-            warm_start=warm_start,
-            **solver_kwargs,
-        )
-    )
 
 
 def _check(points: int, lo: float, hi: float) -> None:

@@ -15,6 +15,7 @@ import repro
 from repro import SolveResult, solve, solve_sweep
 from repro.api import METHOD_ALIASES, as_group
 from repro.core.exceptions import ParameterError
+from repro.core.response import Discipline
 from repro.core.result import LoadDistributionResult
 from repro.core.server import BladeServer, BladeServerGroup
 from repro.core.solvers import (
@@ -26,7 +27,6 @@ from repro.core.solvers import (
     resolve_method,
     warm_startable_methods,
 )
-from repro.core.vectorized import solve_vectorized
 from repro.workloads.paper import (
     EXAMPLE_TOTAL_RATE,
     TABLE1_RATES,
@@ -36,6 +36,7 @@ from repro.workloads.paper import (
     TABLE2_T_PRIME,
     TABLE2_UTILIZATIONS,
 )
+from repro.workloads.sweeps import sweep_rates
 
 #: Half a unit in the seventh printed decimal place.
 TOL = 5e-8
@@ -114,14 +115,14 @@ class TestMethodRegistry:
             "kkt",
             "slsqp",
             "closed-form",
-            "vectorized",
             "newton",
         } <= set(names)
+        assert "vectorized" not in names
         assert "auto" in available_methods()
         assert "auto" not in names
 
     def test_warm_startable_set(self):
-        assert {"bisection", "vectorized", "newton"} <= warm_startable_methods()
+        assert {"bisection", "newton"} <= warm_startable_methods()
         assert "kkt" not in warm_startable_methods()
 
     def test_auto_picks_newton_for_large_groups(self):
@@ -201,40 +202,6 @@ class TestRouterRegistryFacade:
         assert repro.JoinIdleQueueRouter is not None
 
 
-class TestDeprecationShims:
-    """Old entry points warn but stay bit-identical to the facade."""
-
-    def test_optimize_load_distribution_shim(self, paper_group):
-        facade = solve(paper_group, EXAMPLE_TOTAL_RATE, discipline="fcfs", method="kkt")
-        with pytest.warns(DeprecationWarning, match="repro.solve"):
-            old = repro.optimize_load_distribution(
-                paper_group, EXAMPLE_TOTAL_RATE, "fcfs", "kkt"
-            )
-        assert old.mean_response_time == facade.mean_response_time
-        assert np.array_equal(old.generic_rates, facade.generic_rates)
-
-    def test_solve_vectorized_shim(self, paper_group):
-        facade = solve(
-            paper_group, EXAMPLE_TOTAL_RATE, discipline="fcfs", method="vectorized"
-        )
-        with pytest.warns(DeprecationWarning):
-            old = solve_vectorized(paper_group, EXAMPLE_TOTAL_RATE, "fcfs")
-        assert old.mean_response_time == facade.mean_response_time
-        assert np.array_equal(old.generic_rates, facade.generic_rates)
-        assert old.phi == facade.phi
-
-    def test_workloads_solve_sweep_shim(self, paper_group):
-        rates = [0.8 * EXAMPLE_TOTAL_RATE, EXAMPLE_TOTAL_RATE]
-        from repro.workloads.sweeps import solve_sweep as old_sweep
-
-        new = solve_sweep(paper_group, rates, discipline="fcfs", method="bisection")
-        with pytest.warns(DeprecationWarning):
-            old = old_sweep(paper_group, rates, "fcfs", "bisection")
-        for a, b in zip(old, new):
-            assert a.mean_response_time == b.mean_response_time
-            assert np.array_equal(a.generic_rates, b.generic_rates)
-
-
 class TestSolveSweep:
     def test_returns_solve_results_matching_pointwise(self, paper_group):
         rates = [0.5 * EXAMPLE_TOTAL_RATE, EXAMPLE_TOTAL_RATE]
@@ -254,6 +221,57 @@ class TestSolveSweep:
             assert a.mean_response_time == pytest.approx(
                 b.mean_response_time, abs=1e-9
             )
+
+    @pytest.mark.parametrize("method", ["bisection", "newton"])
+    def test_warm_sweep_matches_cold_sweep(self, paper_group, method):
+        lams = sweep_rates(paper_group, points=5, hi_fraction=0.85)
+        warm = solve_sweep(
+            paper_group, lams, method=method, warm_start=True, tol=1e-12
+        )
+        cold = solve_sweep(
+            paper_group, lams, method=method, warm_start=False, tol=1e-12
+        )
+        for w, c in zip(warm, cold):
+            assert abs(w.mean_response_time - c.mean_response_time) < 1e-9
+
+    @pytest.mark.parametrize("method", ["kkt", "slsqp", "auto"])
+    @pytest.mark.parametrize("discipline", [Discipline.FCFS, Discipline.PRIORITY])
+    def test_non_warmstartable_backend_falls_back(
+        self, paper_group, method, discipline
+    ):
+        """``warm_start=True`` must be a silent no-op off the hintable path.
+
+        The paper group has 7 servers, so both ``"kkt"`` and ``"auto"``
+        (-> kkt below the newton threshold) resolve to backends outside
+        ``warm_startable_methods()``; ``solve_sweep`` must not forward a
+        ``phi_hint`` those solvers would reject, and every point must
+        still match the warm-started bisection reference.
+        """
+        assert resolve_method(paper_group, method) not in warm_startable_methods()
+        lams = sweep_rates(paper_group, points=3, hi_fraction=0.8)
+        results = solve_sweep(
+            paper_group, lams, discipline=discipline, method=method, warm_start=True
+        )
+        reference = solve_sweep(
+            paper_group, lams, discipline=discipline, method="bisection", tol=1e-12
+        )
+        assert len(results) == 3
+        for res, ref, lam in zip(results, reference, lams):
+            assert abs(sum(res.generic_rates) - lam) < 1e-6
+            assert res.mean_response_time == pytest.approx(
+                ref.mean_response_time, abs=5e-6
+            )
+            np.testing.assert_allclose(
+                res.generic_rates, ref.generic_rates, atol=5e-4
+            )
+
+    def test_warm_start_flag_is_inert_for_non_warmstartable(self, paper_group):
+        lams = sweep_rates(paper_group, points=3, hi_fraction=0.8)
+        warm = solve_sweep(paper_group, lams, method="kkt", warm_start=True)
+        cold = solve_sweep(paper_group, lams, method="kkt", warm_start=False)
+        for w, c in zip(warm, cold):
+            assert w.mean_response_time == c.mean_response_time
+            np.testing.assert_array_equal(w.generic_rates, c.generic_rates)
 
 
 class TestPublicSurface:

@@ -39,7 +39,7 @@ from repro.faults import (
     run_chaos,
 )
 from repro.obs import ObsConfig, configure, get_obs, reset_obs
-from repro.runtime import RuntimeConfig
+from repro.runtime import RoutingConfig, RuntimeConfig
 
 N_SEEDS = int(os.environ.get("CHAOS_SEEDS", "20"))
 HORIZON = 2_000.0
@@ -124,7 +124,7 @@ class TestEveryFallbackRungExercised:
 
     @pytest.fixture(scope="class")
     def crafted(self, group, rate):
-        primary_only = ("kkt", "vectorized", "closed-form")
+        primary_only = ("kkt", "newton", "closed-form")
 
         def factory(seed):
             if seed == 0:
@@ -161,7 +161,7 @@ class TestEveryFallbackRungExercised:
             )
 
         config = RuntimeConfig(
-            router="alias",
+            routing=RoutingConfig(policy="alias"),
             drift_threshold=0.05,
             min_dwell=10.0,
             resolve_period=40.0,

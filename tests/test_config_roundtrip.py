@@ -108,9 +108,8 @@ def test_nested_configs_rebuild_as_configs():
     assert rebuilt.recovery.directory == "d"
 
 
-def test_optional_routing_arm_round_trips():
-    # routing is `RoutingConfig | None`: both arms must survive.
-    assert RuntimeConfig.from_dict(RuntimeConfig().to_dict()).routing is None
+def test_routing_round_trips():
+    assert RuntimeConfig.from_dict(RuntimeConfig().to_dict()).routing == RoutingConfig()
     cfg = RuntimeConfig(routing=RoutingConfig(policy="pod", d=3))
     rebuilt = RuntimeConfig.from_dict(cfg.to_dict())
     assert isinstance(rebuilt.routing, RoutingConfig)

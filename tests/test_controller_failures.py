@@ -15,12 +15,13 @@ import pytest
 
 from repro.core.exceptions import ClusterDownError, ConvergenceError
 from repro.core.server import BladeServerGroup
-from repro.core.solvers import optimize_load_distribution
 from repro.faults import FaultPlan, FaultSchedule, FaultSpec
+from repro.faults.schedule import PRIMARY_ONLY_METHODS
 from repro.runtime import (
     HealthTracker,
     LoadDistributionRuntime,
     ResolveController,
+    RoutingConfig,
     RuntimeConfig,
 )
 
@@ -108,7 +109,7 @@ class TestSolverExceptionsAreStructuredOutcomes:
 
     def _runtime(self, group, schedule, **config_kwargs):
         plan = FaultPlan(schedule)
-        config = RuntimeConfig(router="alias", **config_kwargs)
+        config = RuntimeConfig(routing=RoutingConfig(policy="alias"), **config_kwargs)
         return LoadDistributionRuntime(group, 3.0, config, fault_plan=plan)
 
     def test_injected_fault_becomes_fallback_outcome(self, group):
@@ -120,7 +121,7 @@ class TestSolverExceptionsAreStructuredOutcomes:
                         "solver-error",
                         0.0,
                         1e6,
-                        {"methods": ("kkt", "vectorized", "closed-form")},
+                        {"methods": PRIMARY_ONLY_METHODS},
                     )
                 ],
                 seed=0,

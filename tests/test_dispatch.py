@@ -97,14 +97,21 @@ class TestFastestFirst:
 
 class TestOptimalPolicy:
     def test_matches_solver(self, paper_group):
-        from repro.core.solvers import optimize_load_distribution
+        from repro import solve
 
         res = OptimalPolicy().distribute(paper_group, 23.52, "fcfs")
-        ref = optimize_load_distribution(paper_group, 23.52, "fcfs")
+        ref = solve(paper_group, 23.52, discipline="fcfs")
         assert res.mean_response_time == pytest.approx(
             ref.mean_response_time, rel=1e-12
         )
         assert not np.isnan(res.phi)  # solver metadata preserved
+
+    def test_accepts_explicit_method(self, paper_group):
+        policy = OptimalPolicy(method="newton")
+        ref = OptimalPolicy(method="bisection")
+        split = policy.rates(paper_group, 23.52, "fcfs")
+        expected = ref.rates(paper_group, 23.52, "fcfs")
+        np.testing.assert_allclose(split, expected, atol=1e-7)
 
     def test_beats_all_baselines(self, paper_group):
         lam = 0.7 * paper_group.max_generic_rate

@@ -22,8 +22,8 @@ from repro.core.exceptions import (
     ParameterError,
     SolverTimeoutError,
 )
-from repro.core.server import BladeServerGroup
-from repro.core.solvers import optimize_load_distribution
+from repro.core.server import BladeServer, BladeServerGroup
+from repro.core.solvers import dispatch, registered_methods, resolve_method
 from repro.faults import (
     FaultPlan,
     FaultSchedule,
@@ -36,6 +36,7 @@ from repro.faults import (
     proportional_split,
     random_fault_schedule,
 )
+from repro.faults.schedule import PRIMARY_ONLY_METHODS, SOLVER_FAULT_KINDS
 from repro.runtime import (
     EwmaRateEstimator,
     HealthTracker,
@@ -141,12 +142,64 @@ class TestFaultSchedule:
                 assert len(spec.params["servers"]) < 3
 
 
+def _fleet(n):
+    """A heterogeneous n-server fleet (sizes 1..16) with no special load."""
+    return BladeServerGroup(
+        [
+            BladeServer(size=1 + (i % 16), speed=0.6 + 0.01 * (i % 120))
+            for i in range(n)
+        ],
+        rbar=1.0,
+    )
+
+
+class TestPrimaryOnlySolverFaults:
+    """A "primary-only" solver fault must break whatever ``"auto"`` runs,
+    at every group size, while leaving the bisection fallback healthy."""
+
+    @pytest.mark.parametrize(
+        "make_group",
+        [
+            pytest.param(lambda: BladeServerGroup.with_special_fraction(
+                sizes=[2, 4, 6, 8, 10, 12, 14],
+                speeds=[1.6, 1.5, 1.4, 1.3, 1.2, 1.1, 1.0],
+                fraction=0.3,
+            ), id="paper"),
+            pytest.param(lambda: _fleet(16), id="fleet-16"),
+            pytest.param(lambda: _fleet(100), id="fleet-100"),
+            pytest.param(lambda: BladeServerGroup.with_special_fraction(
+                sizes=[1] * 20, speeds=[1.0 + 0.05 * i for i in range(20)],
+                fraction=0.2,
+            ), id="single-blade"),
+        ],
+    )
+    def test_scope_covers_auto_backend(self, make_group):
+        assert resolve_method(make_group(), "auto") in PRIMARY_ONLY_METHODS
+
+    def test_scope_names_registered_backends(self):
+        registered = registered_methods()
+        assert all(name in registered for name in PRIMARY_ONLY_METHODS)
+        assert "bisection" not in PRIMARY_ONLY_METHODS
+
+    def test_random_schedules_draw_the_scope(self):
+        scopes = [
+            spec.params["methods"]
+            for seed in range(40)
+            for spec in random_fault_schedule(3, 1000.0, seed).of_kinds(
+                SOLVER_FAULT_KINDS
+            )
+            if "methods" in spec.params
+        ]
+        assert scopes
+        assert all(tuple(s) == PRIMARY_ONLY_METHODS for s in scopes)
+
+
 class TestSolverFaultInjector:
     def _wrapped(self, specs, clock):
         inj = SolverFaultInjector(
             specs, np.random.default_rng(0), clock
         )
-        return inj, inj.wrap(optimize_load_distribution)
+        return inj, inj.wrap(dispatch)
 
     def test_raises_inside_window_passes_outside(self, group):
         t = {"now": 0.0}
@@ -305,9 +358,7 @@ class TestHealthControlEvents:
 class TestFaultPlan:
     def test_wrapping_is_identity_without_matching_specs(self, group):
         plan = FaultPlan(FaultSchedule([], seed=0))
-        assert plan.wrap_solver(optimize_load_distribution) is (
-            optimize_load_distribution
-        )
+        assert plan.wrap_solver(dispatch) is dispatch
         est = EwmaRateEstimator(10.0)
         assert plan.wrap_estimator(est) is est
 
@@ -317,7 +368,7 @@ class TestFaultPlan:
         )
         t = {"now": 150.0}
         plan.bind_clock(lambda: t["now"])
-        solve = plan.wrap_solver(optimize_load_distribution)
+        solve = plan.wrap_solver(dispatch)
         with pytest.raises(ConvergenceError):
             solve(group, 3.0, "fcfs", method="kkt")
         t["now"] = 250.0
@@ -366,9 +417,7 @@ class _FlakySolver:
         self.calls.append(method)
         if "*" in self.broken_methods or method in self.broken_methods:
             raise ConvergenceError(f"synthetic failure for {method!r}")
-        result = optimize_load_distribution(
-            group, total_rate, discipline, method=method, **kwargs
-        )
+        result = dispatch(group, total_rate, discipline, method=method, **kwargs)
         if self.tamper is not None:
             result = self.tamper(result)
         return result

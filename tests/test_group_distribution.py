@@ -5,19 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import solve
 from repro.core.distributions import (
     GroupResponseTimeDistribution,
     ResponseTimeDistribution,
 )
 from repro.core.exceptions import ParameterError
-from repro.core.solvers import optimize_load_distribution
 from repro.workloads import example_group
 
 
 @pytest.fixture(scope="module")
 def mixture():
     group = example_group()
-    res = optimize_load_distribution(group, 23.52, "fcfs")
+    res = solve(group, 23.52, discipline="fcfs")
     return GroupResponseTimeDistribution.from_distribution(group, res), res
 
 
@@ -113,7 +113,7 @@ class TestValidation:
         from repro.core.server import BladeServerGroup
 
         g = BladeServerGroup.from_arrays([4, 1], [2.0, 0.1], [0.0, 0.05])
-        res = optimize_load_distribution(g, 0.5, "fcfs")
+        res = solve(g, 0.5, discipline="fcfs")
         assert res.generic_rates[1] == pytest.approx(0.0, abs=1e-9)
         dist = GroupResponseTimeDistribution.from_distribution(g, res)
         assert len(dist._parts) == 1
@@ -127,7 +127,7 @@ class TestAgainstSimulation:
 
         group = BladeServerGroup.from_arrays([2, 4], [1.4, 1.0])
         lam = 0.75 * group.max_generic_rate
-        res = optimize_load_distribution(group, lam, "fcfs")
+        res = solve(group, lam, discipline="fcfs")
         dist = GroupResponseTimeDistribution.from_distribution(group, res)
         config = SimulationConfig(
             total_generic_rate=lam,

@@ -1,7 +1,8 @@
 """Tests for the damped-Newton dual-ascent backend (core/newton.py).
 
-Covers the analytic building blocks (batched second derivatives and
-marginal-cost slopes against their scalar counterparts), cross-backend
+Covers the analytic building blocks (the batched NumPy kernels, second
+derivatives and marginal-cost slopes against their scalar
+counterparts), cross-backend
 agreement on randomized heterogeneous groups — including zero-rate
 parked servers and the saturation edge — warm-start semantics, and the
 Tables 1–2 seven-decimal anchors through the ``repro.solve`` facade.
@@ -14,17 +15,24 @@ import pytest
 
 from repro import solve
 from repro.core.bisection import calculate_t_prime
-from repro.core.exceptions import ParameterError
+from repro.core.erlang import log_p_zero, p_zero
+from repro.core.exceptions import ParameterError, SaturationError
 from repro.core.kkt import solve_kkt
 from repro.core.newton import (
     _d2_response_drho2_vec,
     marginal_cost_and_slope_vec,
+    marginal_cost_vec,
+    p_zero_vec,
     solve_newton,
+    waiting_factor_vec,
 )
 from repro.core.objective import marginal_cost
-from repro.core.response import Discipline, d2_generic_response_time_drho2
+from repro.core.response import (
+    Discipline,
+    d2_generic_response_time_drho2,
+    waiting_factor,
+)
 from repro.core.server import BladeServer, BladeServerGroup
-from repro.core.vectorized import _solve_vectorized, marginal_cost_vec
 from repro.workloads.paper import (
     EXAMPLE_TOTAL_RATE,
     TABLE1_RATES,
@@ -52,6 +60,71 @@ def random_group(rng: np.random.Generator) -> BladeServerGroup:
     return BladeServerGroup(servers, rbar=1.0)
 
 
+class TestKernels:
+    """The batched NumPy kernels against their scalar counterparts."""
+
+    def test_p_zero_matches_scalar(self):
+        ms, rhos, expected = [], [], []
+        for m in (1, 2, 3, 7, 14, 30, 100, 250):
+            for rho in (0.0, 1e-9, 0.1, 0.5, 0.9, 0.999):
+                ms.append(m)
+                rhos.append(rho)
+                expected.append(p_zero(m, rho))
+        got = p_zero_vec(ms, rhos)
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    def test_p_zero_m1_closed_form(self):
+        rhos = np.linspace(0.0, 0.99, 34)
+        got = p_zero_vec(np.ones(rhos.size, dtype=int), rhos)
+        np.testing.assert_allclose(got, 1.0 - rhos, rtol=1e-13)
+
+    def test_p_zero_rescale_path(self):
+        # Offered loads large enough that the partial sums pass the
+        # rescale threshold; the log-space scalar is the oracle.
+        ms = [1000, 2000, 5000]
+        rhos = [0.7, 0.8, 0.9]
+        got = p_zero_vec(ms, rhos)
+        expected = [np.exp(log_p_zero(m, r)) for m, r in zip(ms, rhos)]
+        np.testing.assert_allclose(got, expected, rtol=1e-9)
+
+    def test_waiting_factor_matches_scalar(self):
+        ms, rhos, expected = [], [], []
+        for m in (1, 2, 5, 14, 60):
+            for rho in (0.0, 0.2, 0.6, 0.95):
+                ms.append(m)
+                rhos.append(rho)
+                expected.append(waiting_factor(m, rho))
+        got = waiting_factor_vec(ms, rhos)
+        np.testing.assert_allclose(got, expected, rtol=1e-11)
+
+    @pytest.mark.parametrize("disc", DISCIPLINES)
+    def test_marginal_cost_matches_scalar(self, disc):
+        rng = np.random.default_rng(99)
+        for _ in range(10):
+            group = random_group(rng)
+            lam = 0.6 * group.max_generic_rate
+            rates = rng.uniform(0.0, 0.8, group.n) * group.spare_capacities
+            got = marginal_cost_vec(
+                group.sizes,
+                group.xbars,
+                group.special_rates,
+                rates,
+                lam,
+                disc,
+            )
+            expected = [
+                marginal_cost(m, xb, sp, r, lam, disc)
+                for m, xb, sp, r in zip(
+                    group.sizes, group.xbars, group.special_rates, rates
+                )
+            ]
+            np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+    def test_saturated_utilization_raises(self):
+        with pytest.raises(SaturationError):
+            p_zero_vec([2, 3], [0.5, 1.0])
+
+
 class TestBatchedSecondDerivative:
     @pytest.mark.parametrize("disc", DISCIPLINES)
     def test_matches_scalar_kernel(self, disc):
@@ -60,8 +133,6 @@ class TestBatchedSecondDerivative:
         rhos = np.array([0.3, 0.0, 0.55, 0.7, 0.9, 0.15])
         rho_s = np.array([0.1, 0.0, 0.2, 0.3, 0.25, 0.05])
         d = Discipline.coerce(disc)
-        from repro.core.vectorized import p_zero_vec
-
         got = _d2_response_drho2_vec(ms, xbars, rhos, rho_s, d, p_zero_vec(ms, rhos))
         want = [
             d2_generic_response_time_drho2(
@@ -99,8 +170,8 @@ class TestMarginalAndSlope:
 
 
 class TestBackendAgreement:
-    """newton/kkt/bisection/vectorized agree to <= 1e-9 on random
-    heterogeneous groups (the ISSUE's property test)."""
+    """newton agrees with kkt and the paper's bisection to <= 1e-9 on
+    random heterogeneous groups."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_groups(self, seed):
@@ -111,8 +182,7 @@ class TestBackendAgreement:
         r_newton = solve_newton(group, lam, disc)
         r_kkt = solve_kkt(group, lam, disc)
         r_bis = calculate_t_prime(group, lam, disc)
-        r_vec = _solve_vectorized(group, lam, disc)
-        for other in (r_kkt, r_bis, r_vec):
+        for other in (r_kkt, r_bis):
             assert float(
                 np.max(np.abs(r_newton.generic_rates - other.generic_rates))
             ) <= 1e-9

@@ -393,17 +393,6 @@ class TestInstrumentedSolvePath:
         assert res.iterations >= 8
         assert iters.sum == pytest.approx(float(res.iterations))
 
-    def test_vectorized_outer_spans_nest_under_solve(self, paper_group):
-        o = configure(ObsConfig(enabled=True))
-        dispatch(paper_group, EXAMPLE_TOTAL_RATE, Discipline.FCFS, method="vectorized")
-        (solve,) = o.tracer.of_name("solve")
-        outers = o.tracer.of_name("solve.outer")
-        assert outers, "vectorized solve must emit per-outer-iteration spans"
-        assert all(r["parent"] == solve["id"] for r in outers)
-        assert all(r["attrs"]["inner_calls"] >= 1 for r in outers)
-        sweeps = o.registry.get("repro_inner_sweeps")
-        assert sweeps is not None and sweeps.count >= 1
-
 
 class TestClosedLoopChaosTrace:
     """ISSUE acceptance: the chaos loop emits a parseable JSONL trace

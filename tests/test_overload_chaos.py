@@ -41,6 +41,7 @@ from repro.faults import (
 )
 from repro.runtime.admission import AdmissionConfig
 from repro.runtime.loop import RuntimeConfig, run_closed_loop
+from repro.runtime.policies import RoutingConfig
 from repro.shard import ShardConfig, run_sharded_closed_loop
 from repro.sim.arrivals import ClientWorkload, Offer, RetryPolicy
 from repro.workloads.traces import RateTrace
@@ -78,7 +79,7 @@ def _cured_stack():
         ),
     )
     config = RuntimeConfig(
-        router="alias",
+        routing=RoutingConfig(policy="alias"),
         admission=AdmissionConfig(
             classes=3, target_delay=4.0, interval=15.0, sojourn_tc=20.0
         ),
@@ -98,7 +99,7 @@ def _metastable_stack():
             jitter=0.5,
         ),
     )
-    return workload, RuntimeConfig(router="alias")
+    return workload, RuntimeConfig(routing=RoutingConfig(policy="alias"))
 
 
 def _run_arm(group, stack):
@@ -385,7 +386,7 @@ class TestShardedIntegration:
         report = run_sharded_closed_loop(
             group,
             RateTrace.constant(0.5 * group.max_generic_rate),
-            RuntimeConfig(router="alias"),
+            RuntimeConfig(routing=RoutingConfig(policy="alias")),
             ShardConfig(shards=2),
             horizon=200.0,
             seed=0,

@@ -38,7 +38,7 @@ from repro.runtime.policies import (
     registered_routers,
     router_spec,
 )
-from repro.runtime.router import AliasTableRouter, make_router
+from repro.runtime.router import AliasTableRouter
 from repro.shard import ShardConfig, run_sharded_closed_loop
 from repro.sim.task import TaskClass
 from repro.workloads.traces import RateTrace
@@ -283,41 +283,10 @@ class TestRouterRegistry:
         assert back == config
         assert back.routing.policy == "pod" and back.routing.d == 3
 
-    def test_legacy_router_field_fallback(self):
-        assert RuntimeConfig(router="alias").routing_config() == RoutingConfig(
-            policy="alias"
-        )
-        explicit = RoutingConfig(policy="jiq")
-        assert RuntimeConfig(router="alias", routing=explicit).routing_config() is (
-            explicit
-        )
-
     def test_unknown_policy_fails_at_runtime_construction(self, group):
         config = RuntimeConfig(routing=RoutingConfig(policy="not-registered"))
         with pytest.raises(ParameterError, match="unknown routing policy"):
             LoadDistributionRuntime(group, 3.0, config)
-
-
-class TestMakeRouterShim:
-    def test_shim_is_bit_identical_to_direct_construction(self):
-        weights = [0.5, 0.3, 0.2]
-        direct = AliasTableRouter(weights, np.random.default_rng(7))
-        with pytest.warns(DeprecationWarning):
-            shimmed = make_router("alias", weights, np.random.default_rng(7))
-        assert [direct.pick() for _ in range(500)] == [
-            shimmed.pick() for _ in range(500)
-        ]
-
-    def test_shim_matches_registry_build(self):
-        weights = [0.6, 0.4]
-        registry = build_router(
-            RoutingConfig(policy="wrr"), weights, np.random.default_rng(0)
-        )
-        with pytest.warns(DeprecationWarning):
-            shimmed = make_router("wrr", weights, np.random.default_rng(0))
-        assert [registry.pick() for _ in range(100)] == [
-            shimmed.pick() for _ in range(100)
-        ]
 
 
 # ---------------------------------------------------------------------------

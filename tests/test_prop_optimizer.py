@@ -17,7 +17,6 @@ from repro.core.closed_form import solve_closed_form
 from repro.core.kkt import solve_kkt
 from repro.core.objective import gradient
 from repro.core.server import BladeServerGroup
-from repro.core.vectorized import solve_vectorized
 
 
 @st.composite
@@ -126,29 +125,6 @@ class TestOptimizerProperties:
             a.mean_response_time, b.mean_response_time, rtol=1e-7
         )
         assert np.allclose(a.generic_rates, b.generic_rates, atol=1e-6)
-
-    @given(inst=random_instance(max_servers=4))
-    @settings(max_examples=15, deadline=None)
-    def test_bisection_backends_invariants_and_agreement(self, inst):
-        """Scalar and vectorized nested bisection: feasibility + parity.
-
-        Both backends must return rates inside the stability box
-        ``0 <= lambda'_i < m_i/xbar_i - lambda''_i`` summing to the
-        requested total within 1e-9, and agree on the minimized ``T'``
-        to 1e-9 under either discipline.
-        """
-        group, lam, disc = inst
-        scalar = calculate_t_prime(group, lam, disc)
-        vec = solve_vectorized(group, lam, disc)
-        for res in (scalar, vec):
-            rates = np.asarray(res.generic_rates)
-            assert np.all(rates >= 0.0)
-            assert np.all(rates < group.spare_capacities)
-            assert abs(rates.sum() - lam) <= 1e-9 * max(1.0, lam)
-        assert (
-            abs(scalar.mean_response_time - vec.mean_response_time)
-            <= 1e-9 * max(1.0, scalar.mean_response_time)
-        )
 
     @given(inst=random_instance())
     @settings(max_examples=20, deadline=None)

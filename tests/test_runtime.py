@@ -15,9 +15,11 @@ import math
 import numpy as np
 import pytest
 
+from repro import solve
+from repro.core import solvers as solvers_module
 from repro.core.exceptions import ClusterDownError, ParameterError
+from repro.core.newton import solve_newton
 from repro.core.server import BladeServerGroup
-from repro.core.solvers import optimize_load_distribution
 from repro.runtime import (
     AliasTableRouter,
     DriftDetector,
@@ -29,11 +31,12 @@ from repro.runtime import (
     LogHistogram,
     RateGauges,
     ResolveController,
+    RoutingConfig,
     RuntimeMetrics,
     ShedTracker,
     SlidingWindowRateEstimator,
     SmoothWeightedRoundRobinRouter,
-    make_router,
+    build_router,
 )
 from repro.sim.arrivals import TracedPoissonArrivals
 from repro.sim.engine import GroupSimulation, SimulationConfig
@@ -208,16 +211,16 @@ class TestAliasTableRouter:
         np.testing.assert_allclose(router.weights, [0.5, 0.5])
 
 
-def test_make_router_dispatches_and_validates():
+def test_build_router_dispatches_and_validates():
     rng = np.random.default_rng(0)
-    with pytest.warns(DeprecationWarning):
-        assert isinstance(
-            make_router("swrr", [1.0], rng), SmoothWeightedRoundRobinRouter
-        )
-    with pytest.warns(DeprecationWarning):
-        assert isinstance(make_router("alias", [1.0], rng), AliasTableRouter)
-    with pytest.warns(DeprecationWarning), pytest.raises(ParameterError):
-        make_router("nope", [1.0], rng)
+
+    def build(policy):
+        return build_router(RoutingConfig(policy=policy), [1.0], rng)
+
+    assert isinstance(build("swrr"), SmoothWeightedRoundRobinRouter)
+    assert isinstance(build("alias"), AliasTableRouter)
+    with pytest.raises(ParameterError):
+        build("nope")
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +304,7 @@ class TestResolveController:
         controller = ResolveController(HealthTracker(group))
         lam = 0.5 * group.max_generic_rate
         outcome = controller.resolve(lam)
-        direct = optimize_load_distribution(group, outcome.solved_rate, "fcfs")
+        direct = solve(group, outcome.solved_rate, discipline="fcfs")
         np.testing.assert_allclose(
             outcome.result.generic_rates, direct.generic_rates, rtol=1e-6
         )
@@ -356,16 +359,38 @@ class TestResolveController:
         assert np.all(outcome.result.utilizations < 1.0)
 
     def test_warm_start_agrees_with_cold(self, group):
-        warm = ResolveController(HealthTracker(group), method="vectorized")
+        warm = ResolveController(HealthTracker(group), method="newton")
         cap = group.max_generic_rate
         warm.resolve(0.4 * cap)
         hinted = warm.resolve(0.45 * cap)  # phi_hint path
-        cold = optimize_load_distribution(
-            group, hinted.solved_rate, "fcfs", method="vectorized"
-        )
+        cold = solve(group, hinted.solved_rate, discipline="fcfs", method="newton")
         np.testing.assert_allclose(
             hinted.result.generic_rates, cold.generic_rates, atol=1e-7
         )
+
+    def test_backend_registered_after_import_is_warm_started(self, group):
+        # The warm-startable set is read per decision, so a backend
+        # registered after the runtime modules were imported still
+        # receives the previous decision's multiplier.
+        hints = []
+
+        def toy(group, total_rate, discipline, phi_hint=None, **kwargs):
+            hints.append(phi_hint)
+            return solve_newton(
+                group, total_rate, discipline, phi_hint=phi_hint, **kwargs
+            )
+
+        solvers_module.register_method("toy-warm", toy, warm_startable=True)
+        try:
+            controller = ResolveController(HealthTracker(group), method="toy-warm")
+            cap = group.max_generic_rate
+            first = controller.resolve(0.4 * cap)
+            second = controller.resolve(0.45 * cap)
+        finally:
+            solvers_module._REGISTRY.pop("toy-warm", None)
+        assert not first.cache_hit and not second.cache_hit
+        assert hints[0] is None
+        assert hints[1] == first.result.phi
 
     def test_hysteresis_gate(self, group):
         controller = ResolveController(HealthTracker(group), hysteresis=0.05)
@@ -695,7 +720,7 @@ class TestShedTracker:
 
 class TestEngineClockAndScheduling:
     def _config(self, group):
-        fractions = optimize_load_distribution(group, 3.0, "fcfs").fractions
+        fractions = solve(group, 3.0, discipline="fcfs").fractions
         return SimulationConfig(
             total_generic_rate=3.0,
             fractions=tuple(fractions),

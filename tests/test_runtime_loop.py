@@ -22,10 +22,10 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from repro import solve
 from repro.core.server import BladeServerGroup
-from repro.core.solvers import optimize_load_distribution
 from repro.analysis.convergence import Phase, phase_reports
-from repro.runtime import RuntimeConfig, run_closed_loop
+from repro.runtime import RoutingConfig, RuntimeConfig, run_closed_loop
 from repro.workloads.traces import RateTrace
 
 
@@ -37,7 +37,7 @@ def group():
 
 
 def _config(**overrides):
-    kwargs = dict(router="alias")
+    kwargs = dict(routing=RoutingConfig(policy="alias"))
     kwargs.update(overrides)
     return RuntimeConfig(**kwargs)
 
@@ -47,7 +47,7 @@ class TestStationaryConvergence:
 
     def test_achieved_t_prime_within_replication_ci(self, group):
         lam = 0.55 * group.max_generic_rate
-        analytic = optimize_load_distribution(group, lam, "fcfs").mean_response_time
+        analytic = solve(group, lam, discipline="fcfs").mean_response_time
         trace = RateTrace.constant(lam)
         means = []
         for seed in range(3):
@@ -91,7 +91,7 @@ class TestStationaryConvergence:
         assert out.runtime.resolve_log[0].reason == "initial"
         assert counters.shed == 0
         # The live split still matches the analytic optimum.
-        analytic = optimize_load_distribution(group, lam, "fcfs")
+        analytic = solve(group, lam, discipline="fcfs")
         np.testing.assert_allclose(
             out.runtime.current_weights, analytic.fractions, atol=0.02
         )
@@ -107,8 +107,8 @@ class TestStepChangeReconvergence:
         out = run_closed_loop(
             group, trace, _config(), horizon=10_000.0, seed=3
         )
-        t0 = optimize_load_distribution(group, lam0, "fcfs").mean_response_time
-        t1 = optimize_load_distribution(group, lam1, "fcfs").mean_response_time
+        t0 = solve(group, lam0, discipline="fcfs").mean_response_time
+        t1 = solve(group, lam1, discipline="fcfs").mean_response_time
         reports = phase_reports(
             out.sim.task_log,
             [
@@ -128,7 +128,7 @@ class TestStepChangeReconvergence:
         assert any(t > 4_000.0 for t in drift_times)
         assert out.metrics.counters.drift_triggers >= 1
         # The adopted split tracks the higher rate's optimum.
-        final = optimize_load_distribution(group, lam1, "fcfs")
+        final = solve(group, lam1, discipline="fcfs")
         np.testing.assert_allclose(
             out.runtime.current_weights, final.fractions, atol=0.03
         )
@@ -157,10 +157,8 @@ class TestFailureRecovery:
     def test_reconverges_through_failure_and_recovery(self, group):
         lam = 0.45 * group.max_generic_rate
         subgroup = BladeServerGroup(group.servers[1:], rbar=group.rbar)
-        t_full = optimize_load_distribution(group, lam, "fcfs").mean_response_time
-        t_degraded = optimize_load_distribution(
-            subgroup, lam, "fcfs"
-        ).mean_response_time
+        t_full = solve(group, lam, discipline="fcfs").mean_response_time
+        t_degraded = solve(subgroup, lam, discipline="fcfs").mean_response_time
         out = run_closed_loop(
             group,
             RateTrace.constant(lam),

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import solve
 from repro.analysis.sensitivity import optimal_value_sensitivities
 from repro.core.server import BladeServerGroup
-from repro.core.solvers import optimize_load_distribution
 
 
 def reoptimized_fd_special(group, total_rate, disc, j, h=1e-5):
@@ -19,9 +19,7 @@ def reoptimized_fd_special(group, total_rate, disc, j, h=1e-5):
         g = BladeServerGroup.from_arrays(
             group.sizes, group.speeds, specials, rbar=group.rbar
         )
-        return optimize_load_distribution(
-            g, total_rate, disc
-        ).mean_response_time
+        return solve(g, total_rate, discipline=disc).mean_response_time
 
     return (t_opt(h) - t_opt(-h)) / (2.0 * h)
 
@@ -33,9 +31,7 @@ def reoptimized_fd_speed(group, total_rate, disc, j, h=1e-5):
         g = BladeServerGroup.from_arrays(
             group.sizes, speeds, group.special_rates, rbar=group.rbar
         )
-        return optimize_load_distribution(
-            g, total_rate, disc
-        ).mean_response_time
+        return solve(g, total_rate, discipline=disc).mean_response_time
 
     return (t_opt(h) - t_opt(-h)) / (2.0 * h)
 
@@ -48,9 +44,7 @@ def reoptimized_fd_rbar(group, total_rate, disc, h=1e-6):
             group.special_rates,
             rbar=group.rbar + delta,
         )
-        return optimize_load_distribution(
-            g, total_rate, disc
-        ).mean_response_time
+        return solve(g, total_rate, discipline=disc).mean_response_time
 
     return (t_opt(h) - t_opt(-h)) / (2.0 * h)
 

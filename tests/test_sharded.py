@@ -26,6 +26,7 @@ from repro.core.newton import solve_newton
 from repro.core.server import BladeServer, BladeServerGroup
 from repro.recovery import RecoveryConfig
 from repro.runtime.loop import RuntimeConfig
+from repro.runtime.policies import RoutingConfig
 from repro.shard import (
     ShardCoordinator,
     ShardedDispatcher,
@@ -386,7 +387,7 @@ class TestShardedClosedLoop:
         )
         trace = RateTrace.constant(40.0)
         config = RuntimeConfig(
-            router="alias",
+            routing=RoutingConfig(policy="alias"),
             resolve_period=40.0,
             recovery=RecoveryConfig(enabled=True, directory=str(tmp_path)),
         )
@@ -422,7 +423,9 @@ class TestShardedClosedLoop:
             fraction=0.3,
         )
         trace = RateTrace.step(20.0, at=120.0, to=32.0)
-        config = RuntimeConfig(router="alias", time_constant=30.0)
+        config = RuntimeConfig(
+            routing=RoutingConfig(policy="alias"), time_constant=30.0
+        )
         report = run_sharded_closed_loop(
             g,
             trace,

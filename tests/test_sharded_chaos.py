@@ -29,6 +29,7 @@ from repro.faults import (
 )
 from repro.recovery import RecoveryConfig
 from repro.runtime.loop import RuntimeConfig
+from repro.runtime.policies import RoutingConfig
 from repro.shard import (
     ShardConfig,
     ShardSupervisor,
@@ -63,7 +64,7 @@ def _config(tmp_path=None, **kwargs) -> RuntimeConfig:
         if tmp_path is not None
         else RecoveryConfig()
     )
-    kwargs.setdefault("router", "alias")
+    kwargs.setdefault("routing", RoutingConfig(policy="alias"))
     kwargs.setdefault("resolve_period", 40.0)
     return RuntimeConfig(recovery=recovery, **kwargs)
 

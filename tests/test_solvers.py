@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import solve
 from repro.core.bisection import calculate_t_prime, find_lambda_i
 from repro.core.closed_form import solve_closed_form
 from repro.core.exceptions import InfeasibleError, ParameterError
@@ -17,7 +18,7 @@ from repro.core.kkt import rate_for_multiplier, solve_kkt
 from repro.core.nlp import solve_nlp
 from repro.core.objective import gradient, marginal_cost
 from repro.core.server import BladeServerGroup
-from repro.core.solvers import available_methods, optimize_load_distribution
+from repro.core.solvers import available_methods, resolve_method
 
 DISCIPLINES = ["fcfs", "priority"]
 
@@ -146,7 +147,7 @@ class TestOptimalityConditions:
     def test_budget_constraint_exact(self, paper_group, disc):
         lam = 0.4 * paper_group.max_generic_rate
         for method in ("bisection", "kkt", "slsqp"):
-            res = optimize_load_distribution(paper_group, lam, disc, method)
+            res = solve(paper_group, lam, discipline=disc, method=method)
             assert res.total_rate == pytest.approx(lam, rel=1e-12)
 
     def test_all_rates_stable(self, paper_group):
@@ -242,31 +243,44 @@ class TestFacade:
         assert set(methods) >= {"bisection", "kkt", "slsqp", "closed-form", "auto"}
 
     def test_auto_picks_closed_form_for_single_blades(self, single_blade_group):
-        res = optimize_load_distribution(
-            single_blade_group, 1.0, "fcfs", "auto"
+        res = solve(
+            single_blade_group, 1.0, discipline="fcfs", method="auto"
         )
         assert res.method.startswith("closed-form")
 
     def test_auto_picks_kkt_otherwise(self, paper_group):
-        res = optimize_load_distribution(paper_group, 10.0, "fcfs", "auto")
+        res = solve(paper_group, 10.0, discipline="fcfs", method="auto")
         assert res.method == "kkt-brentq"
+
+    def test_auto_picks_newton_for_large_groups(self):
+        sizes = [2 + (i % 8) for i in range(80)]
+        speeds = [0.8 + 0.01 * i for i in range(80)]
+        group = BladeServerGroup.with_special_fraction(
+            sizes, speeds, fraction=0.2
+        )
+        assert resolve_method(group, "auto") == "newton"
+        res = solve(group, 0.5 * group.max_generic_rate, method="auto")
+        assert res.method == "newton-dual-ascent"
+
+    def test_auto_keeps_kkt_for_small_groups(self, paper_group):
+        assert resolve_method(paper_group, "auto") == "kkt"
 
     def test_unknown_method(self, paper_group):
         with pytest.raises(ParameterError):
-            optimize_load_distribution(paper_group, 10.0, "fcfs", "magic")
+            solve(paper_group, 10.0, discipline="fcfs", method="magic")
 
     def test_infeasible_rate(self, paper_group):
         with pytest.raises(InfeasibleError):
-            optimize_load_distribution(
-                paper_group, paper_group.max_generic_rate, "fcfs"
+            solve(
+                paper_group, paper_group.max_generic_rate, discipline="fcfs"
             )
 
     def test_closed_form_rejects_multi_blade(self, paper_group):
         with pytest.raises(ParameterError):
-            optimize_load_distribution(paper_group, 10.0, "fcfs", "closed-form")
+            solve(paper_group, 10.0, discipline="fcfs", method="closed-form")
 
     def test_result_fields(self, paper_group):
-        res = optimize_load_distribution(paper_group, 20.0, "priority", "kkt")
+        res = solve(paper_group, 20.0, discipline="priority", method="kkt")
         assert res.n == 7
         assert res.discipline.value == "priority"
         assert res.converged
@@ -277,11 +291,11 @@ class TestFacade:
 class TestEdgeCases:
     def test_single_server_group(self):
         group = BladeServerGroup.from_arrays([4], [1.0], [1.0])
-        res = optimize_load_distribution(group, 2.0, "fcfs", "kkt")
+        res = solve(group, 2.0, discipline="fcfs", method="kkt")
         assert res.generic_rates[0] == pytest.approx(2.0)
 
     def test_very_low_load(self, paper_group):
-        res = optimize_load_distribution(paper_group, 1e-4, "fcfs", "kkt")
+        res = solve(paper_group, 1e-4, discipline="fcfs", method="kkt")
         assert res.total_rate == pytest.approx(1e-4, rel=1e-9)
         # At vanishing load everything goes to the fastest server(s).
         assert res.mean_response_time < paper_group.xbars.max()
