@@ -47,11 +47,13 @@ jumps across the root inside a multiplier window narrower than float
 resolution and the endpoint rate vectors are interpolated
 component-wise (the same repair the KKT backend applies).
 
-The batched NumPy kernels (:func:`p_zero_vec`,
-:func:`waiting_factor_vec`, :func:`marginal_cost_vec` and their
-derivatives) evaluate all ``n`` servers in one pass with the same
-stable scaled-recurrence / log-space math as :mod:`repro.core.erlang`
-and :mod:`repro.core.response`: no factorials, no ``rho**m`` underflow.
+One fused kernel (:func:`_sweep`) evaluates all ``n`` servers per
+sweep with the scaled-recurrence / log-space math of
+:mod:`repro.core.erlang` and :mod:`repro.core.response`;
+:func:`p_zero_vec`, :func:`waiting_factor_vec`,
+:func:`marginal_cost_vec` and :func:`marginal_cost_and_slope_vec` are
+views of it.  Its phi-independent constants (:class:`ErlangConstants`)
+are built once per solve.
 
 Registered as ``method="newton"`` (warm-startable); the measured
 speedups over the other backends are committed in
@@ -80,8 +82,23 @@ __all__ = [
     "waiting_factor_vec",
 ]
 
-#: Rescale threshold of the partial-sum recurrence (same as erlang.py).
-_RESCALE_AT = 1e290
+#: Inner Newton sweeps per outer iteration before declaring failure.
+#: Safeguarded steps halve a bracket at worst, so ~60 sweeps resolve
+#: any double-precision interval; Newton itself needs far fewer.
+_MAX_INNER_SWEEPS = 120
+
+#: Outer multiplier iterations before declaring failure.
+_MAX_OUTER = 200
+
+#: Normalizing sum ``1/p_0`` past which the kernel leaves the direct
+#: formulas: they square ``p_0``, which underflows beyond ``~1e-154``.
+_LOG_FRAME_AT = 1e150
+#: ``log(m^m/m!)`` past which the direct formulas' ``C_m`` constants
+#: overflow (``exp`` overflows at ~709.8).
+_LOG_C_MAX = 700.0
+#: Entries of one block of the ``(3, k, n)`` recurrence table; wide
+#: groups are swept in column blocks so memory stays bounded.
+_TABLE_BUDGET = 1 << 18
 
 
 def _as_server_arrays(
@@ -109,127 +126,211 @@ def _as_server_arrays(
     return ms, rhos
 
 
+class ErlangConstants:
+    """The phi-independent per-server constants of the sweep kernel.
+
+    Built once per solve from the blade counts; a sweep over the live
+    subset of servers uses :meth:`take`.  ``log_c`` is
+    ``log C_m = log(m^{m-1}/m!)`` and ``log_c1`` is ``log(m^m/m!)``.
+    """
+
+    __slots__ = ("ms", "mf", "log_c", "log_c1", "c", "c1")
+
+    def __init__(self, ms: Sequence[int]) -> None:
+        self.ms = np.asarray(ms, dtype=np.int64)
+        self.mf = self.ms.astype(float)
+        log_m = np.log(self.mf)
+        lgam = gammaln(self.mf + 1.0)
+        self.log_c = (self.mf - 1.0) * log_m - lgam
+        self.log_c1 = self.mf * log_m - lgam
+        with np.errstate(over="ignore"):
+            self.c = np.exp(self.log_c)
+            self.c1 = np.exp(self.log_c1)
+
+    def take(self, idx: np.ndarray) -> "ErlangConstants":
+        """The constants of the servers ``idx``."""
+        out = object.__new__(ErlangConstants)
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name)[idx])
+        return out
+
+
+def _normalizing_sums(
+    k: ErlangConstants, rho: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """``(T, S'_head, S''_head, L, frame)``: the Erlang head sums.
+
+    ``p_0 = e^{-L} / T``; ``T`` holds the full normalizing sum (head
+    plus tail) and the two head sums share its scale ``e^{-L}``.  The
+    three term recurrences ``t_j = t_{j-1} a / j`` (``a = m rho``)
+    differ only in their seeds ``1``, ``m`` and ``m^2``, so one factor
+    table ``a/j`` feeds three sequential cumulative products and sums
+    along the ``j`` axis, each read back at its server's stop row.
+    Products and sums happen in the same order as a per-``j`` loop.
+
+    Servers whose sum passes ``_LOG_FRAME_AT``, or whose ``C_m``
+    overflows, are re-summed in log space with ``L`` the largest log
+    term (``frame`` marks them, and ``L = 0`` everywhere else).
+    """
+    n = rho.size
+    a = k.mf * rho
+    total, s1, s2, shift = np.empty(n), np.empty(n), np.empty(n), np.zeros(n)
+    frame = (rho > 0.0) & (k.log_c1 > _LOG_C_MAX)
+    top = int(k.ms.max())
+    steps = np.arange(1, top)[:, None]
+    block = max(1, _TABLE_BUDGET // (3 * top))
+    for lo in range(0, n, block):
+        cut = slice(lo, lo + block)
+        ms, mf = k.ms[cut], k.mf[cut]
+        cols = np.arange(ms.size)
+        t = np.empty((3, top, ms.size))
+        t[0, 0], t[1, 0], t[2, 0] = 1.0, mf, mf * mf
+        t[:, 1:] = a[cut] / steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply.accumulate(t, axis=1, out=t)
+            last = t[0, ms - 1, cols]  # a^{m-1}/(m-1)!
+            np.add.accumulate(t, axis=1, out=t)
+            total[cut] = t[0, ms - 1, cols] + last * a[cut] / ms / (1.0 - rho[cut])
+        s1[cut] = np.where(ms >= 2, t[1, np.maximum(ms - 2, 0), cols], 0.0)
+        s2[cut] = np.where(ms >= 3, t[2, np.maximum(ms - 3, 0), cols], 0.0)
+        frame[cut] |= (rho[cut] > 0.0) & ~(total[cut] <= _LOG_FRAME_AT)
+        f = lo + np.flatnonzero(frame[cut])
+        if f.size:
+            total[f], s1[f], s2[f], shift[f] = _log_frame(k.ms[f], a[f], rho[f])
+    return total, s1, s2, shift, frame
+
+
+def _log_frame(ms: np.ndarray, a: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_normalizing_sums` in log space, relative to the largest term.
+
+    The terms ``a^j/j!`` are formed as ``exp(j log a - lgamma(j+1) - L)``
+    with ``L`` the largest log term of ``1/p_0`` (head or tail), so no
+    partial sum can overflow.
+    """
+    mf = ms.astype(float)
+    rows = np.arange(int(ms.max()))[:, None]
+    logs = rows * np.log(a) - gammaln(rows + 1.0)
+    logs[rows >= ms] = -np.inf
+    log_tail = mf * np.log(a) - gammaln(mf + 1.0) - np.log1p(-r)
+    shift = np.maximum(logs.max(axis=0), log_tail)
+    head = np.cumsum(np.exp(logs - shift), axis=0)
+    cols = np.arange(ms.size)
+    total = head[ms - 1, cols] + np.exp(log_tail - shift)
+    s1 = np.where(ms >= 2, mf * head[np.maximum(ms - 2, 0), cols], 0.0)
+    s2 = np.where(ms >= 3, mf * mf * head[np.maximum(ms - 3, 0), cols], 0.0)
+    return total, s1, s2, shift
+
+
+def _sweep(
+    k: ErlangConstants, xbars: np.ndarray, rho: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """One fused kernel evaluation for all servers.
+
+    Returns ``(p0, dp0, d2p0, w, dt, d2t)``: ``p_0`` and its first two
+    ``rho``-derivatives (:func:`repro.core.erlang.dp_zero_drho`,
+    :func:`~repro.core.erlang.d2p_zero_drho2`), the FCFS waiting factor
+    ``W/xbar`` and the FCFS response-time derivatives
+    ``dT'/drho``, ``d2T'/drho2``.  The priority discipline divides them
+    by ``1 - rho''`` (see :func:`marginal_cost_and_slope_vec`).
+
+    Direct servers use the closed forms of :mod:`repro.core.response`
+    term for term.  Log-frame servers (see :func:`_normalizing_sums`)
+    use ``x1 = p_0 S'`` and ``x2 = p_0 S''``, which the shared scale
+    cancels out of, and form ``C_m p_0 rho^{m-j}`` in log space, so
+    neither ``p_0^2`` underflow nor ``C_m`` overflow can reach them.
+    """
+    ms, mf = k.ms, k.mf
+    total, s1, s2, shift, frame = _normalizing_sums(k, rho)
+    p0 = np.exp(-shift) / total
+    one = 1.0 - rho
+    pos = rho > 0.0
+    m1 = ms == 1
+    sel = pos & ~m1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_r = np.log(rho)
+        lead1 = mf - (mf - 1.0) * rho
+        tail = np.exp(k.log_c1 + (mf - 1.0) * log_r) * lead1 / one**2
+        tail = np.where(m1, 1.0 / one**2, np.where(pos, tail, 0.0))
+        dp0 = -p0 * p0 * (np.where(m1, 0.0, s1) + tail)
+        tail1 = np.where(sel, k.c1 * rho ** (ms - 1) * lead1 / one**2, 0.0)
+        tail2 = k.c1 * (
+            mf * (mf - 1.0) * rho ** (ms - 2) / one
+            + 2.0 * rho ** (ms - 1) * lead1 / one**3
+        )
+        # rho -> 0 limit of the S'' tail: c * m (m-1), nonzero only at
+        # m = 2 (every other term carries a positive power of rho).
+        at_zero = (rho == 0.0) & (ms == 2)
+        tail2 = np.where(sel, tail2, np.where(at_zero, k.c1 * mf * (mf - 1.0), 0.0))
+        sp = s1 + tail1
+        spp = s2 + tail2
+        d2p0 = np.where(m1, 0.0, p0 * p0 * (2.0 * p0 * sp * sp - spp))
+        w = np.where(pos, p0 * np.exp(k.log_c + mf * log_r) / one**2, 0.0)
+        lead = mf - (mf - 2.0) * rho
+        h = rho**ms / one**2
+        dh = rho ** (ms - 1) * lead / one**3
+        d2h = (
+            rho ** (ms - 2) * ((mf - 1.0) * lead - (mf - 2.0) * rho) / one**3
+            + 3.0 * rho ** (ms - 1) * lead / one**4
+        )
+        dt = xbars * k.c * (
+            dp0 * rho**ms / one**2 + p0 * rho ** (ms - 1) * lead / one**3
+        )
+        dt = np.where(pos, dt, np.where(m1, xbars, 0.0))
+        d2t = xbars * k.c * (d2p0 * h + 2.0 * dp0 * dh + p0 * d2h)
+        d2t = np.where(
+            m1,
+            2.0 * xbars / one**3,
+            np.where(sel, d2t, np.where(at_zero, 2.0 * xbars, 0.0)),
+        )
+    if frame.any():
+        f = frame
+        mf, r, o, xb = mf[f], rho[f], one[f], xbars[f]
+        log_r = log_r[f]
+        scale = 1.0 / total[f]
+        log_p0 = -shift[f] - np.log(total[f])
+        e1 = np.exp(k.log_c1[f] + (mf - 1.0) * log_r - shift[f])
+        e2 = np.exp(k.log_c1[f] + (mf - 2.0) * log_r - shift[f])
+        x1 = scale * (s1[f] + e1 * lead1[f] / o**2)
+        x2 = scale * (
+            s2[f] + e2 * mf * (mf - 1.0) / o + 2.0 * e1 * lead1[f] / o**3
+        )
+        q0, q1, q2 = (np.exp(k.log_c[f] + (mf - j) * log_r + log_p0) for j in range(3))
+        curv = 2.0 * x1 * x1 - x2
+        lead = lead[f]
+        dp0[f] = -p0[f] * x1
+        d2p0[f] = p0[f] * curv
+        w[f] = q0 / o**2
+        dt[f] = xb * (q1 * lead / o**3 - q0 * x1 / o**2)
+        d2t[f] = xb * (
+            q0 * curv / o**2
+            - 2.0 * q1 * x1 * lead / o**3
+            + q2 * ((mf - 1.0) * lead - (mf - 2.0) * r) / o**3
+            + 3.0 * q1 * lead / o**4
+        )
+    return p0, dp0, d2p0, w, dt, d2t
+
+
 def p_zero_vec(ms: Sequence[int], rhos: Sequence[float]) -> np.ndarray:
     """Empty-system probabilities ``p_{i,0}`` for all servers at once.
 
-    Vectorized transcription of :func:`repro.core.erlang.p_zero`: the
-    scaled term recurrence ``t_k = t_{k-1} a_i / k`` runs over a shared
-    ``k`` axis with per-server masks (server ``i`` stops growing at
-    ``k = m_i - 1``), and per-server rescale events fold into a
-    log-scale accumulator, so the kernel neither overflows nor loses
-    precision for thousands of blades per server.
+    Batched :func:`repro.core.erlang.p_zero`: the same scaled term
+    recurrence, with a log-space frame past ``1/p_0 = 1e150``, so
+    thousands of blades per server neither overflow nor lose precision.
     """
     ms, rhos = _as_server_arrays(ms, rhos)
-    a = ms * rhos
-    term = np.ones_like(rhos)
-    total = np.ones_like(rhos)
-    log_scale = np.zeros_like(rhos)
-    for k in range(1, int(ms.max())):
-        growing = ms > k
-        np.multiply(term, a / k, out=term, where=growing)
-        total[growing] += term[growing]
-        big = total > _RESCALE_AT
-        if big.any():
-            scale = total[big]
-            term[big] /= scale
-            total[big] = 1.0
-            log_scale[big] += np.log(scale)
-    # Tail term a^m/m! / (1 - rho): one more recurrence step from
-    # a^{m-1}/(m-1)! covers every m >= 1.
-    term_m = term * a / ms
-    total = total + term_m / (1.0 - rhos)
-    return np.exp(-log_scale) / total
-
-
-def _waiting_factor_from_p0(
-    ms: np.ndarray, rhos: np.ndarray, p0: np.ndarray
-) -> np.ndarray:
-    """``p_0 m^{m-1}/m! rho^m/(1-rho)^2`` given precomputed ``p_0``."""
-    out = np.zeros_like(rhos)
-    pos = rhos > 0.0
-    if pos.any():
-        m = ms[pos].astype(float)
-        r = rhos[pos]
-        log_shape = (m - 1.0) * np.log(m) - gammaln(m + 1.0) + m * np.log(r)
-        out[pos] = p0[pos] * np.exp(log_shape) / (1.0 - r) ** 2
-    return out
+    total, _, _, shift, _ = _normalizing_sums(ErlangConstants(ms), rhos)
+    return np.exp(-shift) / total
 
 
 def waiting_factor_vec(ms: Sequence[int], rhos: Sequence[float]) -> np.ndarray:
     """Non-priority waiting terms ``W_i / xbar_i`` for all servers at once.
 
-    Vectorized :func:`repro.core.response.waiting_factor`: the
+    Batched :func:`repro.core.response.waiting_factor`: the
     ``m^{m-1}/m! * rho^m`` shape factor is evaluated in log space
     (``gammaln`` instead of factorials).
     """
     ms, rhos = _as_server_arrays(ms, rhos)
-    return _waiting_factor_from_p0(ms, rhos, p_zero_vec(ms, rhos))
-
-
-def _dp_zero_drho_vec(
-    ms: np.ndarray, rhos: np.ndarray, p0: np.ndarray
-) -> np.ndarray:
-    """Batched :func:`repro.core.erlang.dp_zero_drho` (given ``p_0``).
-
-    Mirrors the scalar scaled term recurrence
-    ``u_{k+1} = u_k a / k`` for the head sum and the log-space tail.
-    """
-    a = ms * rhos
-    mf = ms.astype(float)
-    # Head sum: sum_{k=1}^{m-1} m^k rho^{k-1}/(k-1)!; k = 1 term is m
-    # (only present for m >= 2).
-    s = np.where(ms >= 2, mf, 0.0)
-    u = mf.copy()
-    for k in range(2, int(ms.max())):
-        growing = ms > k
-        np.multiply(u, a / (k - 1), out=u, where=growing)
-        s[growing] += u[growing]
-    # Tail: m^m/m! * rho^{m-1} (m - (m-1) rho) / (1-rho)^2, in log space.
-    tail = np.zeros_like(rhos)
-    pos = rhos > 0.0
-    if pos.any():
-        m = mf[pos]
-        r = rhos[pos]
-        log_tail = m * np.log(m) - gammaln(m + 1.0) + (m - 1.0) * np.log(r)
-        tail[pos] = np.exp(log_tail) * (m - (m - 1.0) * r) / (1.0 - r) ** 2
-    zero = ~pos
-    if zero.any():
-        tail[zero] = np.where(ms[zero] == 1, 1.0, 0.0)
-    # m = 1 closed form: p0 = 1 - rho has no head sum and tail 1/(1-rho)^2.
-    m1 = ms == 1
-    if m1.any():
-        s[m1] = 0.0
-        tail[m1] = 1.0 / (1.0 - rhos[m1]) ** 2
-    return -p0 * p0 * (s + tail)
-
-
-def _d_response_drho_vec(
-    ms: np.ndarray,
-    xbars: np.ndarray,
-    rhos: np.ndarray,
-    rho_specials: np.ndarray,
-    disc: Discipline,
-    p0: np.ndarray,
-) -> np.ndarray:
-    """Batched :func:`repro.core.response.d_generic_response_time_drho`."""
-    out = np.zeros_like(rhos)
-    pos = rhos > 0.0
-    if pos.any():
-        mi = ms[pos]
-        m = mi.astype(float)
-        r = rhos[pos]
-        c = np.exp((m - 1.0) * np.log(m) - gammaln(m + 1.0))
-        dp0 = _dp_zero_drho_vec(mi, r, p0[pos])
-        term1 = dp0 * r**mi / (1.0 - r) ** 2
-        term2 = p0[pos] * r ** (mi - 1) * (m - (m - 2.0) * r) / (1.0 - r) ** 3
-        out[pos] = xbars[pos] * c * (term1 + term2)
-        if disc is Discipline.PRIORITY:
-            out[pos] /= 1.0 - rho_specials[pos]
-    zero = ~pos
-    if zero.any():
-        # rho = 0 limit: slope xbar for m = 1, zero otherwise.
-        out[zero] = np.where(ms[zero] == 1, xbars[zero], 0.0)
-    return out
+    return _sweep(ErlangConstants(ms), np.ones(rhos.size), rhos)[3]
 
 
 def marginal_cost_vec(
@@ -255,124 +356,15 @@ def marginal_cost_vec(
     lams = np.asarray(generic_rates, dtype=float)
     if np.any(lams < 0.0):
         raise ParameterError("generic rates must be >= 0")
-    ms_arr = np.asarray(ms, dtype=np.int64)
-    rho = (lams + specials) * xbars / ms_arr
-    rho_g = lams * xbars / ms_arr
-    rho_s = specials * xbars / ms_arr
-    ms_arr, rho = _as_server_arrays(ms_arr, rho)
-    disc = Discipline.coerce(discipline)
-    p0 = p_zero_vec(ms_arr, rho)
-    w = _waiting_factor_from_p0(ms_arr, rho, p0)
-    if disc is Discipline.PRIORITY:
-        w = w / (1.0 - rho_s)
-    t = xbars * (1.0 + w)
-    dt = _d_response_drho_vec(ms_arr, xbars, rho, rho_s, disc, p0)
-    return (t + rho_g * dt) / total_rate
-
-
-#: Inner Newton sweeps per outer iteration before declaring failure.
-#: Safeguarded steps halve a bracket at worst, so ~60 sweeps resolve
-#: any double-precision interval; Newton itself needs far fewer.
-_MAX_INNER_SWEEPS = 120
-
-#: Outer multiplier iterations before declaring failure.
-_MAX_OUTER = 200
-
-
-def _d2p_zero_drho2_vec(
-    ms: np.ndarray, rhos: np.ndarray, p0: np.ndarray
-) -> np.ndarray:
-    """Batched :func:`repro.core.erlang.d2p_zero_drho2` (given ``p_0``).
-
-    Mirrors the scalar code: the head sums of ``S'`` and ``S''`` run as
-    shared-axis term recurrences with per-server stop masks, the tails
-    are evaluated in log space, and ``m = 1`` (where ``p_0`` is linear
-    in ``rho``) is exactly zero.
-    """
-    mf = ms.astype(float)
-    a = mf * rhos
-    # S' head: sum_{k=1}^{m-1} m^k rho^{k-1}/(k-1)!  (k = 1 term is m).
-    s1 = np.where(ms >= 2, mf, 0.0)
-    u = mf.copy()
-    for k in range(2, int(ms.max())):
-        growing = ms > k
-        np.multiply(u, a / (k - 1), out=u, where=growing)
-        s1[growing] += u[growing]
-    # S'' head: sum_{k=2}^{m-1} m^k rho^{k-2}/(k-2)!  (k = 2 term m^2).
-    s2 = np.where(ms >= 3, mf * mf, 0.0)
-    v = mf * mf
-    for k in range(3, int(ms.max())):
-        growing = ms > k
-        np.multiply(v, a / (k - 2), out=v, where=growing)
-        s2[growing] += v[growing]
-    tail1 = np.zeros_like(rhos)
-    tail2 = np.zeros_like(rhos)
-    sel = (rhos > 0.0) & (ms >= 2)
-    if sel.any():
-        m = mf[sel]
-        r = rhos[sel]
-        c = np.exp(m * np.log(m) - gammaln(m + 1.0))
-        lead = m - (m - 1.0) * r
-        tail1[sel] = c * r ** (ms[sel] - 1) * lead / (1.0 - r) ** 2
-        tail2[sel] = c * (
-            m * (m - 1.0) * r ** (ms[sel] - 2) / (1.0 - r)
-            + 2.0 * r ** (ms[sel] - 1) * lead / (1.0 - r) ** 3
-        )
-    at_zero = (rhos == 0.0) & (ms == 2)
-    if at_zero.any():
-        # rho -> 0 limit of the S'' tail: c * m (m-1), nonzero only at
-        # m = 2 (every other term carries a positive power of rho).
-        m = mf[at_zero]
-        tail2[at_zero] = np.exp(m * np.log(m) - gammaln(m + 1.0)) * m * (m - 1.0)
-    sp = s1 + tail1
-    spp = s2 + tail2
-    out = p0 * p0 * (2.0 * p0 * sp * sp - spp)
-    out[ms == 1] = 0.0
-    return out
-
-
-def _d2_response_drho2_vec(
-    ms: np.ndarray,
-    xbars: np.ndarray,
-    rhos: np.ndarray,
-    rho_specials: np.ndarray,
-    disc: Discipline,
-    p0: np.ndarray,
-) -> np.ndarray:
-    """Batched :func:`repro.core.response.d2_generic_response_time_drho2`."""
-    out = np.zeros_like(rhos)
-    m1 = ms == 1
-    if m1.any():
-        out[m1] = 2.0 * xbars[m1] / (1.0 - rhos[m1]) ** 3
-    sel = ~m1 & (rhos > 0.0)
-    if sel.any():
-        mi = ms[sel]
-        m = mi.astype(float)
-        r = rhos[sel]
-        c = np.exp((m - 1.0) * np.log(m) - gammaln(m + 1.0))
-        p0s = p0[sel]
-        dp0 = _dp_zero_drho_vec(mi, r, p0s)
-        d2p0 = _d2p_zero_drho2_vec(mi, r, p0s)
-        one = 1.0 - r
-        lead = m - (m - 2.0) * r
-        h = r**mi / one**2
-        dh = r ** (mi - 1) * lead / one**3
-        d2h = (
-            r ** (mi - 2) * ((m - 1.0) * lead - (m - 2.0) * r) / one**3
-            + 3.0 * r ** (mi - 1) * lead / one**4
-        )
-        out[sel] = xbars[sel] * c * (d2p0 * h + 2.0 * dp0 * dh + p0s * d2h)
-    at_zero = ~m1 & (rhos == 0.0) & (ms == 2)
-    if at_zero.any():
-        # h''(0) = 2 at m = 2 with C = 2^1/2! = 1; zero for m >= 3.
-        out[at_zero] = 2.0 * xbars[at_zero]
-    if disc is Discipline.PRIORITY:
-        out /= 1.0 - rho_specials
-    return out
+    ms = np.asarray(ms, dtype=np.int64)
+    _as_server_arrays(ms, (lams + specials) * xbars / ms)
+    return marginal_cost_and_slope_vec(
+        ms, xbars, specials, lams, total_rate, Discipline.coerce(discipline)
+    )[0]
 
 
 def marginal_cost_and_slope_vec(
-    ms: np.ndarray,
+    ms: np.ndarray | ErlangConstants,
     xbars: np.ndarray,
     specials: np.ndarray,
     lams: np.ndarray,
@@ -381,9 +373,10 @@ def marginal_cost_and_slope_vec(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched marginal costs ``g_i`` and their slopes ``g_i'``.
 
-    One shared :func:`p_zero_vec` evaluation
-    feeds the response time, both response-time derivatives, and hence
-    both outputs:
+    ``ms`` is the blade counts, or their :class:`ErlangConstants` when
+    the caller sweeps repeatedly.  One fused kernel sweep feeds the
+    response time, both response-time derivatives, and hence both
+    outputs:
 
     * ``g_i = (T'_i + rho'_i dT'_i/drho) / lambda'`` — identical to
       :func:`marginal_cost_vec`;
@@ -392,24 +385,24 @@ def marginal_cost_and_slope_vec(
       is increasing and convex in ``rho``), which is what makes both
       Newton levels well-posed.
     """
-    mf = ms.astype(float)
+    k = ms if isinstance(ms, ErlangConstants) else ErlangConstants(ms)
+    mf = k.mf
     rho = (lams + specials) * xbars / mf
     rho_g = lams * xbars / mf
-    rho_s = specials * xbars / mf
-    p0 = p_zero_vec(ms, rho)
-    w = _waiting_factor_from_p0(ms, rho, p0)
+    _, _, _, w, dt, d2t = _sweep(k, xbars, rho)
     if disc is Discipline.PRIORITY:
-        w = w / (1.0 - rho_s)
+        rest = 1.0 - specials * xbars / mf
+        w = w / rest
+        dt = np.where(rho > 0.0, dt / rest, dt)
+        d2t = d2t / rest
     t = xbars * (1.0 + w)
-    dt = _d_response_drho_vec(ms, xbars, rho, rho_s, disc, p0)
-    d2t = _d2_response_drho2_vec(ms, xbars, rho, rho_s, disc, p0)
     g = (t + rho_g * dt) / total_rate
     dg = (xbars / mf) * (2.0 * dt + rho_g * d2t) / total_rate
     return g, dg
 
 
 def _inner_newton(
-    ms: np.ndarray,
+    k: ErlangConstants,
     xbars: np.ndarray,
     specials: np.ndarray,
     total_rate: float,
@@ -456,7 +449,7 @@ def _inner_newton(
         sweeps += 1
         xs = x[idx]
         g, dg = marginal_cost_and_slope_vec(
-            ms[idx], xbars[idx], specials[idx], xs, total_rate, disc
+            k.take(idx), xbars[idx], specials[idx], xs, total_rate, disc
         )
         dg_out[idx] = dg
         resid = g - phis[idx]
@@ -521,9 +514,10 @@ def solve_newton(
     # evaluation each covers every outer iteration:
     #   g0   — marginal at zero load; phi <= g0 parks the server,
     #   gcap — marginal at the stability boundary; phi > gcap pins it.
-    g0, _ = marginal_cost_and_slope_vec(ms, xbars, specials, zeros, total_rate, disc)
+    k = ErlangConstants(ms)
+    g0, _ = marginal_cost_and_slope_vec(k, xbars, specials, zeros, total_rate, disc)
     gcap, _ = marginal_cost_and_slope_vec(
-        ms, xbars, specials, hard_caps, total_rate, disc
+        k, xbars, specials, hard_caps, total_rate, disc
     )
 
     budget_tol = tol * max(1.0, total_rate)
@@ -556,7 +550,7 @@ def solve_newton(
             lb = np.minimum(lb, ub)
             x0 = np.where(free, prev_rates, 0.0)
             roots, dg, sweeps = _inner_newton(
-                ms, xbars, specials, total_rate, phi, disc, tol, x0, lb, ub
+                k, xbars, specials, total_rate, phi, disc, tol, x0, lb, ub
             )
             inner_sweeps += sweeps
             rates = np.where(free, roots, rates)
@@ -598,7 +592,7 @@ def solve_newton(
         phi = float(phi_hint)
     else:
         g_start, _ = marginal_cost_and_slope_vec(
-            ms, xbars, specials, prev_rates, total_rate, disc
+            k, xbars, specials, prev_rates, total_rate, disc
         )
         phi = min(max(float(np.median(g_start[live])), phi_seed), phi_ceil)
 

@@ -37,7 +37,7 @@ import math
 
 import numpy as _np
 
-from .erlang import d2p_zero_drho2, dp_zero_drho, erlang_c, p_zero
+from .erlang import d2p_zero_drho2, dp_zero_drho, erlang_c, log_p_zero, p_zero
 from .exceptions import ParameterError, SaturationError
 
 __all__ = [
@@ -97,6 +97,10 @@ def _validate(m: int, xbar: float, rho: float, rho_special: float) -> None:
         raise SaturationError(f"rho must be < 1, got {rho}", rho=rho)
 
 
+#: Largest ``log`` that ``math.exp`` turns into a finite float.
+_LOG_SHAPE_MAX = 709.0
+
+
 def _log_shape(m: int, rho: float) -> float:
     """``log( m^{m-1}/m! * rho^m )`` — the shared shape factor of T'."""
     return (m - 1) * math.log(m) - math.lgamma(m + 1) + m * math.log(rho)
@@ -111,8 +115,12 @@ def waiting_factor(m: int, rho: float) -> float:
     _validate(m, 1.0, rho, 0.0)
     if rho == 0.0:
         return 0.0
-    p0 = p_zero(m, rho)
-    return p0 * math.exp(_log_shape(m, rho)) / (1.0 - rho) ** 2
+    log_shape = _log_shape(m, rho)
+    if log_shape > _LOG_SHAPE_MAX:
+        # Thousands of blades: m^{m-1}/m! rho^m overflows on its own,
+        # so it meets p_0 in log space.
+        return math.exp(log_p_zero(m, rho) + log_shape) / (1.0 - rho) ** 2
+    return p_zero(m, rho) * math.exp(log_shape) / (1.0 - rho) ** 2
 
 
 def generic_response_time_rho(

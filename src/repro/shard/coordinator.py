@@ -55,7 +55,11 @@ import numpy as np
 
 from ..core.bisection import DEFAULT_TOL, STABILITY_MARGIN, settle_residual
 from ..core.exceptions import ConvergenceError, InfeasibleError, ParameterError
-from ..core.newton import _inner_newton, marginal_cost_and_slope_vec
+from ..core.newton import (
+    ErlangConstants,
+    _inner_newton,
+    marginal_cost_and_slope_vec,
+)
 from ..core.response import Discipline
 from ..core.result import LoadDistributionResult
 from ..core.server import BladeServerGroup
@@ -128,7 +132,7 @@ class ShardCoordinator:
         self.shard_of = np.repeat(np.arange(plan.n_shards), counts)
 
         group = self.group
-        self.ms = group.sizes.astype(np.int64)[self.cand]
+        self.consts = ErlangConstants(group.sizes.astype(np.int64)[self.cand])
         self.xbars = group.xbars.astype(float)[self.cand]
         self.specials = group.special_rates.astype(float)[self.cand]
         caps = group.spare_capacities[self.cand]
@@ -141,11 +145,11 @@ class ShardCoordinator:
         # Same phi-independent thresholds as the flat backend: phi <=
         # g0 parks a candidate, phi > gcap pins it at its hard cap.
         self.g0, _ = marginal_cost_and_slope_vec(
-            self.ms, self.xbars, self.specials, self.zeros,
+            self.consts, self.xbars, self.specials, self.zeros,
             self.total_rate, self.disc,
         )
         self.gcap, _ = marginal_cost_and_slope_vec(
-            self.ms, self.xbars, self.specials, self.hard_caps,
+            self.consts, self.xbars, self.specials, self.hard_caps,
             self.total_rate, self.disc,
         )
         if float(self.hard_caps.sum()) <= self.total_rate:
@@ -203,7 +207,7 @@ class ShardCoordinator:
                 lb = np.minimum(lb, ub)
                 x0 = np.where(free, self._prev, 0.0)
                 roots, dg, sweeps = _inner_newton(
-                    self.ms, self.xbars, self.specials, self.total_rate,
+                    self.consts, self.xbars, self.specials, self.total_rate,
                     phis, self.disc, self.tol, x0, lb, ub,
                 )
                 self.inner_sweeps += sweeps
@@ -285,7 +289,7 @@ class ShardCoordinator:
         if phi <= 0.0:
             usable = self.caps > 0.0
             g_start, _ = marginal_cost_and_slope_vec(
-                self.ms, self.xbars, self.specials, self._prev,
+                self.consts, self.xbars, self.specials, self._prev,
                 total_rate, self.disc,
             )
             phi = float(np.median(g_start[usable]))

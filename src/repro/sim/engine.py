@@ -405,16 +405,25 @@ class GroupSimulation:
             busy_tw[i].reset(0.0, 0.0)
             system_tw[i].reset(0.0, 0.0)
 
+        # Per-server constants, bound once: the group's vector
+        # properties build a fresh n-element array on every access, so
+        # reading them per event would make each event cost O(n).
+        speeds = self.group.speeds.tolist()
+        special_means = [
+            1.0 / srv.special_rate if srv.special_rate > 0.0 else math.inf
+            for srv in self.group.servers
+        ]
+
         # Prime the arrival streams.
         self._arrivals.reset()
         events.schedule(
             self._arrivals.next_interarrival(self._arrival_rng),
             EventType.GENERIC_ARRIVAL,
         )
-        for i, srv in enumerate(self.group.servers):
-            if srv.special_rate > 0.0:
+        for i, mean in enumerate(special_means):
+            if mean < math.inf:
                 events.schedule(
-                    exponential(self._special_rngs[i], 1.0 / srv.special_rate),
+                    exponential(self._special_rngs[i], mean),
                     EventType.SPECIAL_ARRIVAL,
                     payload=i,
                 )
@@ -430,7 +439,7 @@ class GroupSimulation:
             system_tw[i].update(now, self._servers[i].in_system)
 
         def start_service(task: SimTask, now: float) -> None:
-            service = task.service_time(self.group.speeds[task.server_index])
+            service = task.service_time(speeds[task.server_index])
             events.schedule(now + service, EventType.DEPARTURE, payload=task)
 
         def maybe_retry(offer: "Offer", now: float) -> bool:
@@ -460,17 +469,16 @@ class GroupSimulation:
         sim_span.__enter__()
         try:
             while events:
-                ev = events.pop()
-                now = ev.time
+                now, _, kind, payload = events.pop()
                 self._now = now
                 if obs_on:
-                    kind = ev.kind.name
-                    ev_counts[kind] = ev_counts.get(kind, 0) + 1
+                    name = kind.name
+                    ev_counts[name] = ev_counts.get(name, 0) + 1
 
-                if ev.kind is EventType.END_OF_RUN:
+                if kind is EventType.END_OF_RUN:
                     break
 
-                if ev.kind is EventType.END_OF_WARMUP:
+                if kind is EventType.END_OF_WARMUP:
                     # Restart every integrator at the current state and drop
                     # all per-task statistics collected so far.
                     measuring = True
@@ -479,15 +487,15 @@ class GroupSimulation:
                         system_tw[i].reset(now, self._servers[i].in_system)
                     continue
 
-                if ev.kind is EventType.CONTROL:
-                    ev.payload(self, now)
+                if kind is EventType.CONTROL:
+                    payload(self, now)
                     continue
 
-                if ev.kind is EventType.GENERIC_ARRIVAL:
+                if kind is EventType.GENERIC_ARRIVAL:
                     # A fresh arrival carries no payload and schedules its
                     # successor; a retry carries its Offer and does not (the
                     # retry stream rides on top of the fresh stream).
-                    offer = ev.payload
+                    offer = payload
                     if offer is None:
                         events.schedule(
                             now + self._arrivals.next_interarrival(self._arrival_rng),
@@ -535,8 +543,8 @@ class GroupSimulation:
                     record_state(dest, now)
                     continue
 
-                if ev.kind is EventType.TIMEOUT_CHECK:
-                    task = ev.payload
+                if kind is EventType.TIMEOUT_CHECK:
+                    task = payload
                     if math.isnan(task.completion_time):
                         # The client gave up: a duplicate re-enters after
                         # backoff while the original keeps consuming service.
@@ -546,11 +554,10 @@ class GroupSimulation:
                         maybe_retry(Offer(task.offer_class, task.attempt), now)
                     continue
 
-                if ev.kind is EventType.SPECIAL_ARRIVAL:
-                    i = ev.payload
-                    rate = self.group.servers[i].special_rate
+                if kind is EventType.SPECIAL_ARRIVAL:
+                    i = payload
                     events.schedule(
-                        now + exponential(self._special_rngs[i], 1.0 / rate),
+                        now + exponential(self._special_rngs[i], special_means[i]),
                         EventType.SPECIAL_ARRIVAL,
                         payload=i,
                     )
@@ -561,8 +568,8 @@ class GroupSimulation:
                     record_state(i, now)
                     continue
 
-                if ev.kind is EventType.DEPARTURE:
-                    task = ev.payload
+                if kind is EventType.DEPARTURE:
+                    task = payload
                     task.completion_time = now
                     i = task.server_index
                     nxt = self._servers[i].on_departure(now)
@@ -589,7 +596,7 @@ class GroupSimulation:
                             spec_done += 1
                     continue
 
-                raise SimulationError(f"unhandled event kind {ev.kind}")  # pragma: no cover
+                raise SimulationError(f"unhandled event kind {kind}")  # pragma: no cover
 
             if obs_on:
                 sim_span.note(

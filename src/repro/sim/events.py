@@ -12,8 +12,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..core.exceptions import SimulationError
 
@@ -40,18 +39,18 @@ class EventType(enum.Enum):
     TIMEOUT_CHECK = "timeout_check"
 
 
-@dataclass(frozen=True, order=True)
-class Event:
-    """A scheduled simulation event.
+class Event(NamedTuple):
+    """A scheduled simulation event: a plain tuple on the heap.
 
-    Ordered by ``(time, seq)``; ``kind`` and ``payload`` are excluded
-    from the ordering so heterogeneous payloads never get compared.
+    The heap orders events by C tuple comparison on ``(time, seq)``.
+    ``seq`` is unique, so ``kind`` and ``payload`` are never compared
+    and heterogeneous payloads need no ordering of their own.
     """
 
     time: float
     seq: int
-    kind: EventType = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    kind: EventType
+    payload: Any = None
 
 
 class EventQueue:

@@ -15,11 +15,13 @@ import pytest
 
 from repro import solve
 from repro.core.bisection import calculate_t_prime
-from repro.core.erlang import log_p_zero, p_zero
+from repro.core.erlang import d2p_zero_drho2, dp_zero_drho, log_p_zero, p_zero
 from repro.core.exceptions import ParameterError, SaturationError
 from repro.core.kkt import solve_kkt
 from repro.core.newton import (
-    _d2_response_drho2_vec,
+    ErlangConstants,
+    _normalizing_sums,
+    _sweep,
     marginal_cost_and_slope_vec,
     marginal_cost_vec,
     p_zero_vec,
@@ -30,6 +32,8 @@ from repro.core.objective import marginal_cost
 from repro.core.response import (
     Discipline,
     d2_generic_response_time_drho2,
+    d_generic_response_time_drho,
+    generic_response_time_rho,
     waiting_factor,
 )
 from repro.core.server import BladeServer, BladeServerGroup
@@ -125,6 +129,17 @@ class TestKernels:
             p_zero_vec([2, 3], [0.5, 1.0])
 
 
+#: Kernel-coverage grid: every blade count up to 64 plus two large ones,
+#: at utilizations from the rho = 0 limit to the stability edge.
+GRID_MS = list(range(1, 65)) + [100, 250]
+GRID_RHOS = [0.0, 1e-9, 0.1, 0.5, 0.9, 0.999]
+
+
+def kernel_grid() -> tuple[np.ndarray, np.ndarray]:
+    ms, rhos = np.meshgrid(GRID_MS, GRID_RHOS)
+    return ms.ravel().astype(np.int64), rhos.ravel()
+
+
 class TestBatchedSecondDerivative:
     @pytest.mark.parametrize("disc", DISCIPLINES)
     def test_matches_scalar_kernel(self, disc):
@@ -133,14 +148,193 @@ class TestBatchedSecondDerivative:
         rhos = np.array([0.3, 0.0, 0.55, 0.7, 0.9, 0.15])
         rho_s = np.array([0.1, 0.0, 0.2, 0.3, 0.25, 0.05])
         d = Discipline.coerce(disc)
-        got = _d2_response_drho2_vec(ms, xbars, rhos, rho_s, d, p_zero_vec(ms, rhos))
+        d2t = _sweep(ErlangConstants(ms), xbars, rhos)[5]
+        if d is Discipline.PRIORITY:
+            d2t = d2t / (1.0 - rho_s)
         want = [
             d2_generic_response_time_drho2(
                 int(ms[i]), float(xbars[i]), float(rhos[i]), float(rho_s[i]), d
             )
             for i in range(ms.size)
         ]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(d2t, want, rtol=1e-12, atol=1e-300)
+
+
+def loop_head_sums(ms: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Reference: the three per-k masked loops the fused kernel replaced.
+
+    Returns ``1/p_0`` and the ``S'``, ``S''`` head sums.
+    """
+    mf = ms.astype(float)
+    a = mf * rhos
+    term, total = np.ones_like(rhos), np.ones_like(rhos)
+    u, s1 = mf.copy(), np.where(ms >= 2, mf, 0.0)
+    v, s2 = mf * mf, np.where(ms >= 3, mf * mf, 0.0)
+    for k in range(1, int(ms.max())):
+        grow = ms > k
+        np.multiply(term, a / k, out=term, where=grow)
+        total[grow] += term[grow]
+        if k >= 2:
+            np.multiply(u, a / (k - 1), out=u, where=grow)
+            s1[grow] += u[grow]
+        if k >= 3:
+            np.multiply(v, a / (k - 2), out=v, where=grow)
+            s2[grow] += v[grow]
+    return total + term * a / ms / (1.0 - rhos), s1, s2
+
+
+class TestFusedKernel:
+    """The fused sweep kernel against the scalar Erlang derivatives."""
+
+    def test_head_sums_equal_loop_reference(self):
+        """Cumulative products and sums keep the loops' operation order,
+        so the sums are bit-identical to them (no log frame below
+        m = 64)."""
+        rng = np.random.default_rng(11)
+        ms = rng.integers(1, 65, 500)
+        rhos = rng.uniform(0.0, 0.999, 500)
+        rhos[::7] = 0.0
+        total, s1, s2, shift, frame = _normalizing_sums(ErlangConstants(ms), rhos)
+        assert not frame.any() and not shift.any()
+        for got, want in zip((total, s1, s2), loop_head_sums(ms, rhos)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_p0_derivatives_match_scalar(self):
+        ms, rhos = kernel_grid()
+        p0, dp0, d2p0, *_ = _sweep(ErlangConstants(ms), np.ones(ms.size), rhos)
+        pairs = list(zip(ms.tolist(), rhos.tolist()))
+        np.testing.assert_allclose(p0, [p_zero(m, r) for m, r in pairs], rtol=1e-12)
+        np.testing.assert_allclose(
+            dp0, [dp_zero_drho(m, r) for m, r in pairs], rtol=1e-12, atol=1e-300
+        )
+        # d2p0 = 2 p0^3 S'^2 - p0^2 S'' is a difference of two terms of
+        # size 2 dp0^2/p0 that cancel near rho = 1 in the scalar form as
+        # much as in the batched one, so the 1e-12 is relative to them.
+        want = np.array([d2p_zero_drho2(m, r) for m, r in pairs])
+        scale = np.abs(want) + 2.0 * dp0**2 / p0
+        assert (np.abs(d2p0 - want) <= 1e-12 * scale + 1e-300).all()
+
+    def test_response_derivatives_match_scalar(self):
+        ms, rhos = kernel_grid()
+        xbars = np.linspace(0.5, 2.0, ms.size)
+        _, _, _, w, dt, d2t = _sweep(ErlangConstants(ms), xbars, rhos)
+        cases = list(zip(ms.tolist(), xbars.tolist(), rhos.tolist()))
+        fcfs = Discipline.FCFS
+        np.testing.assert_allclose(
+            xbars * (1.0 + w),
+            [generic_response_time_rho(m, x, r, 0.0, fcfs) for m, x, r in cases],
+            rtol=1e-12,
+        )
+        np.testing.assert_allclose(
+            dt,
+            [d_generic_response_time_drho(m, x, r, 0.0, fcfs) for m, x, r in cases],
+            rtol=1e-12,
+            atol=1e-300,
+        )
+        np.testing.assert_allclose(
+            d2t,
+            [d2_generic_response_time_drho2(m, x, r, 0.0, fcfs) for m, x, r in cases],
+            rtol=1e-12,
+            atol=1e-300,
+        )
+
+    @pytest.mark.parametrize("disc", DISCIPLINES)
+    def test_slope_matches_scalar_derivatives(self, disc):
+        """``g'`` assembled from the scalar response derivatives, on the
+        grid's positive utilizations, under both disciplines."""
+        ms, rhos = kernel_grid()
+        keep = rhos > 0.0
+        ms, rhos = ms[keep], rhos[keep]
+        xbars = np.linspace(0.5, 2.0, ms.size)
+        rho_s = 0.4 * rhos
+        specials = rho_s * ms / xbars
+        lams = (rhos - rho_s) * ms / xbars
+        d = Discipline.coerce(disc)
+        g, dg = marginal_cost_and_slope_vec(ms, xbars, specials, lams, 7.0, d)
+        want_g, want_dg = [], []
+        for m, x, r, rs, lam in zip(ms.tolist(), xbars, rhos, rho_s, lams):
+            dt = d_generic_response_time_drho(m, x, r, rs, d)
+            d2t = d2_generic_response_time_drho2(m, x, r, rs, d)
+            want_g.append(marginal_cost(m, x, rs * m / x, lam, 7.0, d))
+            want_dg.append((x / m) * (2.0 * dt + (r - rs) * d2t) / 7.0)
+        np.testing.assert_allclose(g, want_g, rtol=1e-10)
+        np.testing.assert_allclose(dg, want_dg, rtol=1e-10)
+
+    def test_live_subset_indexing(self):
+        """Constants taken for a live subset give exactly the subset of
+        the full sweep (and of constants built for that subset)."""
+        rng = np.random.default_rng(5)
+        ms, rhos = kernel_grid()
+        xbars = rng.uniform(0.5, 2.0, ms.size)
+        consts = ErlangConstants(ms)
+        full = _sweep(consts, xbars, rhos)
+        idx = np.sort(rng.choice(ms.size, size=ms.size // 3, replace=False))
+        taken = _sweep(consts.take(idx), xbars[idx], rhos[idx])
+        fresh = _sweep(ErlangConstants(ms[idx]), xbars[idx], rhos[idx])
+        for whole, part, own in zip(full, taken, fresh):
+            np.testing.assert_array_equal(part, whole[idx])
+            np.testing.assert_array_equal(part, own)
+
+
+def big_group(m: int) -> BladeServerGroup:
+    """Ten ``m``-blade servers beside ten 8-blade ones, 30% special load."""
+    return BladeServerGroup.with_special_fraction(
+        sizes=[m] * 10 + [8] * 10, speeds=[1.0] * 20, fraction=0.3
+    )
+
+
+class TestLargeBladeCounts:
+    """Hundreds to thousands of blades per server: ``p_0^2`` underflows
+    and ``C_m`` overflows, so the kernel works in its log-space frame."""
+
+    def test_auto_matches_kkt_at_600_blades(self):
+        group = big_group(600)
+        lam = 0.7 * group.max_generic_rate
+        auto = solve(group, lam)
+        assert auto.method == "newton-dual-ascent"
+        kkt = solve(group, lam, method="kkt")
+        np.testing.assert_allclose(
+            auto.generic_rates, kkt.generic_rates, rtol=1e-8, atol=1e-8 * lam
+        )
+        assert auto.mean_response_time == pytest.approx(
+            kkt.mean_response_time, rel=1e-8
+        )
+
+    @pytest.mark.parametrize("m", [1000, 2000])
+    def test_split_converges_for_thousands_of_blades(self, m):
+        group = big_group(m)
+        lam = 0.7 * group.max_generic_rate
+        result = solve(group, lam)
+        assert result.converged
+        assert np.isfinite(result.generic_rates).all()
+        assert np.isfinite(result.mean_response_time)
+        assert result.generic_rates.sum() == pytest.approx(lam, rel=1e-14)
+        assert max(result.utilizations) < 1.0
+
+    @pytest.mark.parametrize(
+        "m, rho", [(1000, 0.3), (1000, 0.6), (5000, 0.05), (5000, 0.1)]
+    )
+    def test_log_p0_slope_matches_central_difference(self, m, rho):
+        p0, dp0, d2p0, *_ = _sweep(ErlangConstants([m]), np.ones(1), np.array([rho]))
+        assert p0[0] > 0.0 and np.isfinite([dp0[0], d2p0[0]]).all()
+        h = 1e-6
+        fd = (log_p_zero(m, rho + h) - log_p_zero(m, rho - h)) / (2.0 * h)
+        assert dp0[0] / p0[0] == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("m, rho", [(1000, 0.95), (5000, 0.99)])
+    @pytest.mark.parametrize("disc", DISCIPLINES)
+    def test_marginal_slope_matches_central_difference(self, m, rho, disc):
+        ms = np.array([m])
+        xbars = np.array([1.0])
+        specials = np.array([0.3 * m])
+        lams = np.array([(rho - 0.3) * m])
+        d = Discipline.coerce(disc)
+        h = 1e-3
+        _, slope = marginal_cost_and_slope_vec(ms, xbars, specials, lams, 10.0, d)
+        g_hi, _ = marginal_cost_and_slope_vec(ms, xbars, specials, lams + h, 10.0, d)
+        g_lo, _ = marginal_cost_and_slope_vec(ms, xbars, specials, lams - h, 10.0, d)
+        assert np.isfinite(slope).all() and slope[0] > 0.0
+        np.testing.assert_allclose(slope, (g_hi - g_lo) / (2 * h), rtol=1e-6)
 
 
 class TestMarginalAndSlope:

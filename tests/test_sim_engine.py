@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.exceptions import ParameterError
 from repro.core.mmm import MMmQueue
-from repro.core.server import BladeServerGroup
+from repro.core.server import BladeServer, BladeServerGroup
 from repro.sim.engine import GroupSimulation, SimulationConfig, simulate_group
 from repro.sim.runner import run_replications
 
@@ -108,6 +108,37 @@ class TestMechanics:
         a = simulate_group(group, 1.0, [1.0], horizon=2_000, warmup=100, seed=1)
         b = simulate_group(group, 1.0, [1.0], horizon=2_000, warmup=100, seed=2)
         assert a.generic_response_time != b.generic_response_time
+
+    def test_run_reads_no_group_vectors_per_event(self, monkeypatch):
+        """Per-server constants are bound once per run: the number of
+        ``BladeServerGroup.speeds`` reads (each builds an n-element
+        array) must not grow with the horizon."""
+        group = BladeServerGroup(
+            [
+                BladeServer(size=1 + (i % 16), speed=0.6 + 0.01 * (i % 120))
+                for i in range(500)
+            ],
+            rbar=1.0,
+        )
+        fractions = group.spare_capacities / group.spare_capacities.sum()
+        rate = 0.6 * group.max_generic_rate
+        original = BladeServerGroup.speeds
+        calls = [0]
+
+        def counted(self):
+            calls[0] += 1
+            return original.fget(self)
+
+        monkeypatch.setattr(BladeServerGroup, "speeds", property(counted))
+        counts = []
+        for horizon in (1.0, 3.0):
+            calls[0] = 0
+            res = simulate_group(
+                group, rate, fractions, horizon=horizon, warmup=0.0, seed=3
+            )
+            assert res.generic_completed > 100
+            counts.append(calls[0])
+        assert counts[0] == counts[1]
 
     def test_routing_respects_fractions(self):
         group = BladeServerGroup.from_arrays(
