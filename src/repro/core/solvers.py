@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from ..obs import get_obs
+from ..obs import MetricHandle, get_obs
 from .bisection import calculate_t_prime
 from .closed_form import solve_closed_form
 from .exceptions import ParameterError
@@ -166,42 +166,21 @@ def resolve_method(group: BladeServerGroup, method: str = "auto") -> str:
     return name
 
 
-#: Resolved metric families of the solve funnel, keyed by the registry
-#: instance they came from.  Family lookup walks the registry's name
-#: table and re-validates labels on every call; on the obs-enabled hot
-#: path that cost used to be paid three times per solve, inflating the
-#: dispatch-overhead budget the benchmarks assert.  The cache is
-#: invalidated by identity, so ``configure()`` swapping in a fresh
-#: registry (or tests resetting the global context) transparently
-#: re-resolves against the new instance.
-_SOLVE_METRICS: tuple | None = None
-
-
-def _solve_metrics(reg):
-    """The (counter, latency, iterations) families bound to ``reg``."""
-    global _SOLVE_METRICS
-    cached = _SOLVE_METRICS
-    if cached is None or cached[0] is not reg:
-        cached = (
-            reg,
-            reg.counter(
-                "repro_solves_total",
-                "Solver invocations per backend",
-                labels=("method",),
-            ),
-            reg.histogram(
-                "repro_solve_seconds", "Wall-clock seconds per solve", lo=1e-6, hi=1e3
-            ),
-            reg.histogram(
-                "repro_solve_iterations",
-                "Outer-loop iterations per solve",
-                lo=1.0,
-                hi=65536.0,
-                buckets=16,
-            ),
-        )
-        _SOLVE_METRICS = cached
-    return cached[1], cached[2], cached[3]
+#: The solve funnel's metrics, resolved once per registry.
+_SOLVES = MetricHandle(
+    "counter", "repro_solves_total", "Solver invocations per backend", ("method",)
+)
+_SOLVE_SECONDS = MetricHandle(
+    "histogram", "repro_solve_seconds", "Wall-clock seconds per solve", lo=1e-6, hi=1e3
+)
+_SOLVE_ITERATIONS = MetricHandle(
+    "histogram",
+    "repro_solve_iterations",
+    "Outer-loop iterations per solve",
+    lo=1.0,
+    hi=65536.0,
+    buckets=16,
+)
 
 
 def dispatch(
@@ -240,9 +219,9 @@ def dispatch(
         result = backend.fn(group, total_rate, discipline, **solver_kwargs)
         elapsed = time.perf_counter() - start
         span.note(iterations=result.iterations, t_prime=result.mean_response_time)
-    solves, seconds, iters = _solve_metrics(o.registry)
-    solves.labels(method=backend.name).inc()
-    seconds.observe(elapsed)
-    iters.observe(max(result.iterations, 1))
+    reg = o.registry
+    _SOLVES.child(reg, backend.name).inc()
+    _SOLVE_SECONDS.child(reg).observe(elapsed)
+    _SOLVE_ITERATIONS.child(reg).observe(max(result.iterations, 1))
     return result
 

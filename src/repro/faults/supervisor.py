@@ -45,7 +45,7 @@ import numpy as np
 from ..core.exceptions import ClusterDownError, ParameterError
 from ..core.result import LoadDistributionResult
 from ..core.server import BladeServerGroup
-from ..obs import ConfigBase, get_obs
+from ..obs import ConfigBase, MetricHandle, get_obs
 from ..runtime.controller import ResolveController, ResolveOutcome
 from ..runtime.health import HealthTracker
 from ..runtime.metrics import IncidentRecord, RuntimeMetrics
@@ -66,15 +66,31 @@ def _deep_tuple(value):
     return value
 
 
+_BREAKER_TRANSITIONS = MetricHandle(
+    "counter",
+    "repro_breaker_transitions_total",
+    "Circuit-breaker state transitions",
+    ("to",),
+)
+_SUPERVISED = MetricHandle(
+    "counter",
+    "repro_supervised_total",
+    "Supervised decisions by provenance",
+    ("source",),
+)
+_FALLBACK_DEPTH = MetricHandle(
+    "histogram",
+    "repro_fallback_depth",
+    "Fallback-chain rung that answered each decision (0 = primary)",
+    edges=tuple(float(i) for i in range(9)),
+)
+
+
 def _breaker_transition(to: str) -> None:
     """Record a circuit-breaker state change when observability is on."""
     o = get_obs()
     if o.enabled:
-        o.registry.counter(
-            "repro_breaker_transitions_total",
-            "Circuit-breaker state transitions",
-            labels=("to",),
-        ).labels(to=to).inc()
+        _BREAKER_TRANSITIONS.child(o.registry, to).inc()
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -478,17 +494,8 @@ class ResilienceSupervisor:
                 depth=outcome.depth,
                 swallowed=len(outcome.failures),
             )
-        reg = o.registry
-        reg.counter(
-            "repro_supervised_total",
-            "Supervised decisions by provenance",
-            labels=("source",),
-        ).labels(source=outcome.source).inc()
-        reg.histogram(
-            "repro_fallback_depth",
-            "Fallback-chain rung that answered each decision (0 = primary)",
-            edges=tuple(float(i) for i in range(9)),
-        ).observe(float(outcome.depth))
+        _SUPERVISED.child(o.registry, outcome.source).inc()
+        _FALLBACK_DEPTH.child(o.registry).observe(float(outcome.depth))
         return outcome
 
     def _decide(self, now: float, offered_rate: float) -> SupervisedOutcome:

@@ -28,6 +28,12 @@ Instrumented call sites follow one pattern::
     with o.tracer.span("solve", n=n):     # no-op CM when disabled
         ...
 
+Sites that record on every task or event hold a :class:`MetricHandle`
+instead, so the family and label lookup happens once, not per record::
+
+    ROUTES = MetricHandle("counter", "repro_routes_total", labels=("outcome",))
+    ROUTES.child(o.registry, "routed").inc()
+
 Metric names, span taxonomy, and the JSONL schema are catalogued in
 ``docs/OBSERVABILITY.md``.
 """
@@ -43,6 +49,7 @@ from .registry import (
     Gauge,
     Histogram,
     MetricFamily,
+    MetricHandle,
     MetricsRegistry,
     NullMetric,
     NullRegistry,
@@ -59,6 +66,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricFamily",
+    "MetricHandle",
     "MetricsRegistry",
     "NullMetric",
     "NullRegistry",

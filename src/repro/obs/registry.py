@@ -36,6 +36,7 @@ __all__ = [
     "log_bucket_edges",
     "MetricFamily",
     "MetricsRegistry",
+    "MetricHandle",
     "NullMetric",
     "NullRegistry",
     "NULL_METRIC",
@@ -77,8 +78,8 @@ class Counter:
         return self._value
 
     def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0) to the count."""
-        if amount < 0.0:
+        """Add ``amount`` (must be >= 0, not NaN) to the count."""
+        if not amount >= 0.0:
             raise ObsError(f"counters only go up; got inc({amount!r})")
         self._value += amount
 
@@ -175,7 +176,9 @@ class Histogram:
         return tuple(self._counts)
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
+        """Record one observation (NaN is refused: it has no bin)."""
+        if value != value:
+            raise ObsError("histograms refuse NaN observations")
         self._counts[bisect_right(self.edges, value)] += 1
         self._sum += value
         self._count += 1
@@ -358,6 +361,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
+        #: Bumped by :meth:`reset`; a :class:`MetricHandle` re-resolves
+        #: its children when it changes.
+        self.epoch = 0
 
     def __contains__(self, name: str) -> bool:
         return name in self._families
@@ -429,6 +435,7 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every family (tests and between-run isolation)."""
         self._families.clear()
+        self.epoch += 1
 
     def restore_snapshot(self, families: list[dict]) -> None:
         """Load a :meth:`collect` snapshot back into this registry.
@@ -466,6 +473,71 @@ class MetricsRegistry:
                     child._count = int(sample["count"])
                 else:
                     child._value = float(sample["value"])
+
+
+class MetricHandle:
+    """One family's children, resolved once and kept for hot paths.
+
+    A hot path records into the same few children on every event.  A
+    handle resolves ``registry.<kind>(name, ...)`` and ``.labels(...)``
+    the first time it sees a label combination and keeps the child, so
+    later calls cost one dict lookup.  It resolves again when handed a
+    different registry or after that registry's
+    :meth:`~MetricsRegistry.reset`, so a kept child is never orphaned
+    from the family :meth:`~MetricsRegistry.collect` reports; a
+    :meth:`~MetricsRegistry.restore_snapshot` writes into the existing
+    children in place.  Label values are positional, in the order of
+    ``labels``.
+    """
+
+    __slots__ = (
+        "kind",
+        "name",
+        "help",
+        "label_names",
+        "_kwargs",
+        "_registry",
+        "_epoch",
+        "_family",
+        "_children",
+    )
+
+    def __init__(
+        self, kind: str, name: str, help: str = "", labels: Sequence[str] = (), **kwargs
+    ) -> None:
+        if kind not in _METRIC_TYPES:
+            raise ObsError(f"unknown metric kind {kind!r}")
+        self.kind = kind
+        self.name = name
+        self.help = help
+        self.label_names = tuple(labels)
+        self._kwargs = kwargs
+        self._registry = None
+        self._epoch = -1
+        self._family = None
+        self._children: dict[tuple, object] = {}
+
+    def family(self, registry: "MetricsRegistry") -> MetricFamily:
+        """The family in ``registry`` (registered on first use)."""
+        if registry is not self._registry or registry.epoch != self._epoch:
+            self._family = getattr(registry, self.kind)(
+                self.name, self.help, self.label_names, **self._kwargs
+            )
+            self._registry = registry
+            self._epoch = registry.epoch
+            self._children = {}
+        return self._family
+
+    def child(self, registry: "MetricsRegistry", *values):
+        """The child for label ``values`` in ``registry``."""
+        if registry is not self._registry or registry.epoch != self._epoch:
+            self.family(registry)
+        child = self._children.get(values)
+        if child is None:
+            child = self._children[values] = self._family.labels(
+                **dict(zip(self.label_names, values))
+            )
+        return child
 
 
 class NullMetric:

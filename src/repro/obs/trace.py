@@ -97,7 +97,7 @@ class Tracer:
         #: Completed spans evicted from the ring buffer so far.
         self.dropped = 0
         self._epoch = time.perf_counter()
-        self._records: list[dict] = []
+        self._records: list[tuple[Span, float, float]] = []
         self._head = 0  # ring-buffer write position once full
         self._stack: list[Span] = []
         self._next_id = 0
@@ -115,18 +115,12 @@ class Tracer:
             while self._stack:
                 if self._stack.pop() is span:
                     break
-        record = {
-            "span": span.name,
-            "id": span.span_id,
-            "parent": span.parent_id,
-            "t0": t0 - self._epoch,
-            "dur": duration,
-            "attrs": span.attrs,
-        }
+        # Stored raw: the record dict is built only when read.
+        entry = (span, t0, duration)
         if len(self._records) < self.capacity:
-            self._records.append(record)
+            self._records.append(entry)
         else:
-            self._records[self._head] = record
+            self._records[self._head] = entry
             self._head = (self._head + 1) % self.capacity
             self.dropped += 1
 
@@ -138,7 +132,19 @@ class Tracer:
     @property
     def records(self) -> tuple[dict, ...]:
         """Completed spans, oldest retained first."""
-        return tuple(self._records[self._head :] + self._records[: self._head])
+        epoch = self._epoch
+        return tuple(
+            {
+                "span": span.name,
+                "id": span.span_id,
+                "parent": span.parent_id,
+                "t0": t0 - epoch,
+                "dur": duration,
+                "attrs": span.attrs,
+            }
+            for span, t0, duration in self._records[self._head :]
+            + self._records[: self._head]
+        )
 
     def __len__(self) -> int:
         return len(self._records)

@@ -16,18 +16,22 @@ Crash-consistency contract:
   the CRC or the JSON parse and is *dropped*, never parsed;
 * sequence numbers increase by exactly one — a gap means a lost record
   and truncates the valid prefix at the gap;
-* the writer appends with an explicit ``flush()`` per record (optional
-  ``fsync`` for true power-loss durability), so after a process crash
-  the on-disk journal is current up to the last completed append;
+* the writer hands each record to the kernel with one ``os.write`` of
+  its encoded line on an unbuffered descriptor (optional ``fsync`` for
+  true power-loss durability), so after a process crash the on-disk
+  journal is current up to the last completed append;
 * checkpoints and all other JSON artifacts go through
   :func:`atomic_write_json` / :func:`atomic_write_text` — temp file in
   the same directory, ``fsync``, then ``os.replace`` — so readers never
   observe a half-written file.
 
-Floats are serialized with :mod:`json`'s ``repr``-based encoder, which
-round-trips IEEE-754 doubles exactly; non-finite values (``NaN``,
-``±Infinity``) use Python's JSON dialect tokens, which this module both
-writes and reads.
+Floats are serialized with ``float.__repr__``, which round-trips
+IEEE-754 doubles exactly; non-finite values (``NaN``, ``±Infinity``)
+use Python's JSON dialect tokens, which this module both writes and
+reads.  One module-level compact encoder, built once, produces every
+byte the writer emits and every CRC the reader checks (see
+:func:`_encode_record`), so the two cannot drift: a line is exactly
+``json.dumps(record, separators=(",", ":"))``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterable
 
 from ..core.exceptions import RecoveryError
@@ -93,9 +98,52 @@ def atomic_write_json(
     )
 
 
-def _record_crc(seq: int, t: float, kind: str, data: Any) -> int:
-    canonical = json.dumps([seq, t, kind, data], separators=(",", ":"))
-    return zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
+#: Circular-reference markers of the shared encoder; emptied again when
+#: an encode fails part-way (the C encoder leaves its entries behind).
+_MARKERS: dict = {}
+#: ``json.dumps(value, separators=(",", ":"))`` as one prebuilt C encoder
+#: (``json.dumps`` rebuilds an encoder per call for non-default
+#: separators).  Returns the encoded text in chunks.
+_encode_chunks = c_make_encoder(
+    _MARKERS,  # circular-reference check on
+    json.JSONEncoder().default,  # unserializable values raise TypeError
+    encode_basestring_ascii,  # ensure_ascii
+    None,  # indent
+    ":",  # key separator
+    ",",  # item separator
+    False,  # sort_keys
+    False,  # skipkeys
+    True,  # allow_nan
+)
+
+
+#: ``float.__repr__`` of the non-finite floats -> the JSON dialect tokens.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode_record(seq: int, t: float, kind: str, data: Any) -> tuple[str, int]:
+    """``(line, crc)`` of one record: the on-disk line without its
+    newline, and the CRC32 of the canonical ``[seq,t,kind,data]``.
+
+    Both are assembled from the same four encoded fields: ``seq`` is a
+    plain ``int`` and ``t`` a ``float``, so their f-string and
+    ``float.__repr__`` forms are what :mod:`json` writes.  Raises
+    ``TypeError`` for unserializable and ``ValueError`` for circular
+    ``data``.
+    """
+    try:
+        body = "".join(_encode_chunks(data, 0))
+    except BaseException:
+        _MARKERS.clear()
+        raise
+    t_s = float.__repr__(t)
+    t_s = _NON_FINITE.get(t_s, t_s)
+    kind_s = encode_basestring_ascii(kind)
+    crc = zlib.crc32(f"[{seq},{t_s},{kind_s},{body}]".encode())
+    return (
+        f'{{"seq":{seq},"t":{t_s},"kind":{kind_s},"data":{body},"crc":{crc}}}',
+        crc,
+    )
 
 
 @dataclass(frozen=True)
@@ -108,14 +156,8 @@ class JournalRecord:
     data: dict[str, Any]
 
     def to_line(self) -> str:
-        payload = {
-            "seq": self.seq,
-            "t": self.t,
-            "kind": self.kind,
-            "data": self.data,
-            "crc": _record_crc(self.seq, self.t, self.kind, self.data),
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        """The record's on-disk line, without the trailing newline."""
+        return _encode_record(self.seq, self.t, self.kind, self.data)[0]
 
     @staticmethod
     def from_line(line: str) -> "JournalRecord":
@@ -131,20 +173,22 @@ class JournalRecord:
             crc = payload["crc"]
         except KeyError as exc:  # missing field == torn record
             raise ValueError(f"journal line missing field {exc}") from exc
-        if not isinstance(seq, int) or not isinstance(kind, str):
+        if type(seq) is not int or not isinstance(kind, str):
             raise ValueError("journal line field types invalid")
-        if _record_crc(seq, float(t), kind, data) != crc:
+        if _encode_record(seq, float(t), kind, data)[1] != crc:
             raise ValueError(f"journal CRC mismatch at seq {seq}")
         return JournalRecord(seq=seq, t=float(t), kind=kind, data=data)
 
 
 class JournalWriter:
-    """Append-only JSONL writer with per-record flush and CRC framing.
+    """Append-only JSONL writer: one CRC-framed line per ``os.write``.
 
     ``start_seq`` seeds the monotonic sequence counter (resume passes
     ``last valid seq + 1``); ``truncate_at`` cuts the file back to a
     byte offset first, amputating any torn tail left by a crash so the
-    resumed stream appends after the last *valid* record.
+    resumed stream appends after the last *valid* record.  The offset
+    must lie within the file: cutting past its end would zero-extend
+    it, and the NUL run would fuse with the next record.
     """
 
     def __init__(
@@ -161,11 +205,21 @@ class JournalWriter:
         os.makedirs(directory, exist_ok=True)
         self.path = path
         self._fsync = fsync
-        if truncate_at is not None and os.path.exists(path):
-            with open(path, "r+b") as fh:
-                fh.truncate(truncate_at)
-        mode = "a" if truncate_at is not None else "w"
-        self._fh = open(path, mode, encoding="utf-8")
+        flags = os.O_WRONLY | os.O_CREAT
+        if truncate_at is None:
+            flags |= os.O_TRUNC
+        else:
+            size = os.path.getsize(path) if os.path.exists(path) else 0
+            if not 0 <= truncate_at <= size:
+                raise RecoveryError(
+                    f"truncate_at must be within the journal's {size} bytes, "
+                    f"got {truncate_at}",
+                    path=path,
+                )
+            flags |= os.O_APPEND
+        self._fd = os.open(path, flags, 0o666)
+        if truncate_at is not None:
+            os.ftruncate(self._fd, truncate_at)
         self._next_seq = start_seq
         self._closed = False
 
@@ -179,24 +233,33 @@ class JournalWriter:
         return self._next_seq - 1
 
     def append(self, t: float, kind: str, data: dict[str, Any]) -> JournalRecord:
+        """Encode and write one record; it is in the kernel on return.
+
+        Nothing is written (and ``next_seq`` does not move) when
+        ``data`` cannot be encoded.
+        """
         if self._closed:
             raise RecoveryError("append to a closed journal", path=self.path)
-        record = JournalRecord(seq=self._next_seq, t=float(t), kind=kind, data=data)
-        self._fh.write(record.to_line() + "\n")
-        self._fh.flush()
+        seq = self._next_seq
+        t = float(t)
+        line, _ = _encode_record(seq, t, kind, data)
+        buf = (line + "\n").encode()
+        written = os.write(self._fd, buf)
+        while written < len(buf):
+            buf = buf[written:]
+            written = os.write(self._fd, buf)
         if self._fsync:
-            os.fsync(self._fh.fileno())
-        self._next_seq += 1
-        return record
+            os.fsync(self._fd)
+        self._next_seq = seq + 1
+        return JournalRecord(seq, t, kind, data)
 
     def close(self) -> None:
         if not self._closed:
-            self._fh.flush()
             try:
-                os.fsync(self._fh.fileno())
+                os.fsync(self._fd)
             except OSError:  # pragma: no cover
                 pass
-            self._fh.close()
+            os.close(self._fd)
             self._closed = True
 
     def __enter__(self) -> "JournalWriter":

@@ -35,10 +35,31 @@ from ..core.response import Discipline
 from ..core.result import LoadDistributionResult
 from ..core.solvers import dispatch, resolve_method, warm_startable_methods
 from ..core.exceptions import ParameterError
-from ..obs import get_obs
+from ..obs import MetricHandle, get_obs
 from .health import CapacityPlan, HealthTracker
 
 __all__ = ["ResolveOutcome", "ResolveController"]
+
+_CACHE_TOTAL = MetricHandle(
+    "counter",
+    "repro_controller_cache_total",
+    "Controller LRU cache outcomes",
+    ("result",),
+)
+_RESOLVE_SECONDS = MetricHandle(
+    "histogram",
+    "repro_resolve_seconds",
+    "Wall-clock seconds per uncached controller resolve",
+    lo=1e-6,
+    hi=1e3,
+)
+_WARM_START_DELTA = MetricHandle(
+    "histogram",
+    "repro_warm_start_phi_delta",
+    "Distance from the warm-start hint to the converged phi",
+    lo=1e-12,
+    hi=1e3,
+)
 
 
 @dataclass(frozen=True)
@@ -181,18 +202,9 @@ class ResolveController:
                 solved_rate=out.solved_rate,
             )
         reg = o.registry
-        reg.counter(
-            "repro_controller_cache_total",
-            "Controller LRU cache outcomes",
-            labels=("result",),
-        ).labels(result="hit" if out.cache_hit else "miss").inc()
+        _CACHE_TOTAL.child(reg, "hit" if out.cache_hit else "miss").inc()
         if not out.cache_hit:
-            reg.histogram(
-                "repro_resolve_seconds",
-                "Wall-clock seconds per uncached controller resolve",
-                lo=1e-6,
-                hi=1e3,
-            ).observe(out.latency)
+            _RESOLVE_SECONDS.child(reg).observe(out.latency)
         return out
 
     def _resolve(self, offered_rate: float, method: str | None) -> ResolveOutcome:
@@ -231,12 +243,9 @@ class ResolveController:
         if "phi_hint" in kwargs and math.isfinite(result.phi):
             o = get_obs()
             if o.enabled:
-                o.registry.histogram(
-                    "repro_warm_start_phi_delta",
-                    "Distance from the warm-start hint to the converged phi",
-                    lo=1e-12,
-                    hi=1e3,
-                ).observe(abs(result.phi - kwargs["phi_hint"]))
+                _WARM_START_DELTA.child(o.registry).observe(
+                    abs(result.phi - kwargs["phi_hint"])
+                )
 
         if math.isfinite(result.phi):
             self._phi_hint = result.phi

@@ -31,7 +31,14 @@ from ..core.exceptions import ParameterError
 from ..core.response import Discipline
 from ..core.result import LoadDistributionResult
 from ..core.server import BladeServerGroup
-from ..obs import ConfigBase, ObsConfig, ProfileReport, configure, get_obs
+from ..obs import (
+    ConfigBase,
+    MetricHandle,
+    ObsConfig,
+    ProfileReport,
+    configure,
+    get_obs,
+)
 from ..recovery.checkpoint import RecoveryConfig, RecoveryManager
 from ..sim.arrivals import ClientWorkload, Offer, TracedPoissonArrivals
 from ..sim.engine import GroupSimulation, SimulationConfig, SimulationResult
@@ -238,6 +245,20 @@ class LoadDistributionRuntime:
         # Cached once: route() runs on every arrival, and the global
         # lookup is the only per-call cost when observability is off.
         self._obs = get_obs()
+        # Per-runtime handles: each runtime records into the registry
+        # it cached above, so runtimes never rebind each other's.
+        self._routes_total = MetricHandle(
+            "counter",
+            "repro_routes_total",
+            "Routing decisions by outcome",
+            ("outcome",),
+        )
+        self._admission_decisions = MetricHandle(
+            "counter",
+            "repro_admission_decisions",
+            "Admission decisions by outcome and priority class",
+            ("decision", "cls"),
+        )
         if fault_plan is not None:
             fault_plan.bind_clock(lambda: self._now)
         self.health = HealthTracker(group, utilization_cap=config.utilization_cap)
@@ -514,11 +535,7 @@ class LoadDistributionRuntime:
         with o.tracer.span("route") as sp:
             dest = self._route()
             sp.note(dest=dest)
-        o.registry.counter(
-            "repro_routes_total",
-            "Routing decisions by outcome",
-            labels=("outcome",),
-        ).labels(outcome="shed" if dest < 0 else "routed").inc()
+        self._routes_total.child(o.registry, "shed" if dest < 0 else "routed").inc()
         return dest
 
     def route_offer(self, offer: Offer) -> int:
@@ -535,11 +552,7 @@ class LoadDistributionRuntime:
         with o.tracer.span("route") as sp:
             dest = self._route(offer)
             sp.note(dest=dest, cls=offer.cls, attempt=offer.attempt)
-        o.registry.counter(
-            "repro_routes_total",
-            "Routing decisions by outcome",
-            labels=("outcome",),
-        ).labels(outcome="shed" if dest < 0 else "routed").inc()
+        self._routes_total.child(o.registry, "shed" if dest < 0 else "routed").inc()
         return dest
 
     def _route(self, offer: Offer | None = None) -> int:
@@ -590,11 +603,7 @@ class LoadDistributionRuntime:
         self.metrics.admission.record(decision, cls)
         o = self._obs
         if o.enabled:
-            o.registry.counter(
-                "repro_admission_decisions",
-                "Admission decisions by outcome and priority class",
-                labels=("decision", "cls"),
-            ).labels(decision=decision, cls=str(cls)).inc()
+            self._admission_decisions.child(o.registry, decision, cls).inc()
         self._drain_brownout(now)
 
     def _drain_brownout(self, now: float) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.exceptions import ParameterError, SimulationError
-from ..obs import MetricsRegistry
+from ..obs import MetricHandle, MetricsRegistry
 from ..sim.stats import RunningStats
 
 __all__ = [
@@ -439,11 +439,16 @@ class AdmissionTracker:
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         reg = registry if registry is not None else MetricsRegistry()
-        self._decisions = reg.counter(
+        self._registry = reg
+        # Fed on every offer: the children are resolved once per
+        # (decision, class), not looked up by name and labels per call.
+        self._decisions = MetricHandle(
+            "counter",
             "runtime_admission_total",
             "Admission decisions per outcome and priority class",
-            labels=("decision", "cls"),
+            ("decision", "cls"),
         )
+        self._decisions.family(reg)
         self._transitions = reg.counter(
             "runtime_brownout_transitions_total",
             "Brownout state-machine entries, per target state",
@@ -454,7 +459,7 @@ class AdmissionTracker:
 
     def record(self, decision: str, cls: int) -> None:
         """Count one admission verdict for priority class ``cls``."""
-        self._decisions.labels(decision=decision, cls=str(int(cls))).inc()
+        self._decisions.child(self._registry, decision, cls).inc()
 
     def transition(self, state: str) -> None:
         """Count one brownout state entry and update the live state."""
@@ -466,7 +471,9 @@ class AdmissionTracker:
         """Totals keyed by ``(decision, class)``."""
         return {
             (k[0], int(k[1])): int(v)
-            for k, v in self._decisions.values_by_label().items()
+            for k, v in self._decisions.family(self._registry)
+            .values_by_label()
+            .items()
         }
 
     @property

@@ -52,7 +52,7 @@ from typing import Callable, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from ..core.exceptions import ParameterError
-from ..obs import ConfigBase, get_obs
+from ..obs import ConfigBase, MetricHandle, get_obs
 from .router import (
     AliasTableRouter,
     SmoothWeightedRoundRobinRouter,
@@ -320,6 +320,13 @@ class OptimalPriorPowerOfDRouter:
         self._prior.load_state(state["prior"])
 
 
+_JIQ_FALLBACKS = MetricHandle(
+    "counter",
+    "repro_jiq_fallbacks_total",
+    "JIQ picks answered by the alias prior (idle stack empty)",
+)
+
+
 class JoinIdleQueueRouter:
     """Join-idle-queue over the optimal prior.
 
@@ -392,10 +399,7 @@ class JoinIdleQueueRouter:
         self.fallbacks += 1
         o = get_obs()
         if o.enabled:
-            o.registry.counter(
-                "repro_jiq_fallbacks_total",
-                "JIQ picks answered by the alias prior (idle stack empty)",
-            ).inc()
+            _JIQ_FALLBACKS.child(o.registry).inc()
         i = self._prior.sample()
         self._counts[i] += 1
         return i

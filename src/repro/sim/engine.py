@@ -463,7 +463,10 @@ class GroupSimulation:
 
         o = get_obs()
         obs_on = o.enabled
-        ev_counts: dict[str, int] = {}
+        # Keyed by id(kind): hashing an Enum member (or reading its
+        # .name) per event is a Python-level call; names are mapped once
+        # at the end.
+        ev_counts: dict[int, int] = {}
         wall_start = time.perf_counter()
         sim_span = o.tracer.span("sim.run", n=n, horizon=cfg.horizon)
         sim_span.__enter__()
@@ -472,8 +475,8 @@ class GroupSimulation:
                 now, _, kind, payload = events.pop()
                 self._now = now
                 if obs_on:
-                    name = kind.name
-                    ev_counts[name] = ev_counts.get(name, 0) + 1
+                    key = id(kind)
+                    ev_counts[key] = ev_counts.get(key, 0) + 1
 
                 if kind is EventType.END_OF_RUN:
                     break
@@ -614,8 +617,9 @@ class GroupSimulation:
                 "Simulation events processed, by event kind",
                 labels=("kind",),
             )
-            for kind, count in ev_counts.items():
-                fam.labels(kind=kind).inc(count)
+            names = {id(kind): kind.name for kind in EventType}
+            for key, count in ev_counts.items():
+                fam.labels(kind=names[key]).inc(count)
             if retry_depths:
                 depth_fam = reg.counter(
                     "repro_retry_depth",
